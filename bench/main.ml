@@ -233,8 +233,7 @@ let rec run_scaling () =
   run_checker_scaling ~quota_ms ~smoke ~label ();
   run_explore_scaling ~smoke ~label ();
   run_faults_scaling ~smoke ~label ();
-  run_throughput_scaling ~quota_ms ~smoke ~label ();
-  run_parallel_scaling ~quota_ms ~smoke ~label ()
+  run_throughput_scaling ~quota_ms ~smoke ~label ()
 
 (* The checker counterpart (see checker_scaling.ml): same flags, its
    own output file via --checker-out. In JSON mode nothing is printed
@@ -334,31 +333,6 @@ and run_throughput_scaling ~quota_ms ~smoke ~label () =
                 (Throughput_scaling.json_trajectory ~label ~quota_ms ~jobs
                    results)))
         (arg_string "--throughput-out")
-
-(* The parallel-backend counterpart (see parallel_scaling.ml):
-   wall-clock msgs/sec over its own jobs grid (the global --jobs flag
-   does not apply), verdicts pinned against a simulator replay. Its
-   own output file via --parallel-out. *)
-and run_parallel_scaling ~quota_ms ~smoke ~label () =
-  let results = Parallel_scaling.run_all ~quota_ms ~smoke in
-  match arg_string "--format" with
-  | Some "json" -> (
-      let json = Parallel_scaling.json_trajectory ~label ~quota_ms results in
-      match arg_string "--parallel-out" with
-      | Some path ->
-          Out_channel.with_open_bin path (fun oc ->
-              Out_channel.output_string oc json);
-          Printf.printf "parallel suite written to %s (%d cases)\n" path
-            (List.length results)
-      | None -> print_string json)
-  | _ ->
-      Parallel_scaling.print_text results;
-      Option.iter
-        (fun path ->
-          Out_channel.with_open_bin path (fun oc ->
-              Out_channel.output_string oc
-                (Parallel_scaling.json_trajectory ~label ~quota_ms results)))
-        (arg_string "--parallel-out")
 
 let () =
   let skip_bench = has_flag "--no-bench" in

@@ -21,24 +21,33 @@ let violation_exits =
     ~doc:"a specification violation was found and reported."
   :: Cmd.Exit.defaults
 
+let ( let* ) = Result.bind
+
 (* ------------------------------------------------------------------ *)
 (* Shared argument parsing                                             *)
 (* ------------------------------------------------------------------ *)
 
 let topology_of_string s =
-  (* Size arguments go through [int_of_string_opt], so a malformed
-     "ring:x" is a clean cmdliner usage error (exit 124), never an
-     uncaught [Failure "int_of_string"] backtrace. *)
-  let num what k cont =
+  (* Size arguments go through [int_of_string_opt] and each shape's
+     floor ([Topology.ring] needs 3 groups), so a malformed "ring:x" or
+     an undersized "ring:2" is a clean cmdliner usage error (exit 124),
+     never an uncaught exception out of the topology constructor. *)
+  let num ?(min = 1) what k cont =
     match int_of_string_opt k with
-    | Some v when v >= 1 -> cont v
+    | Some v when v >= min -> cont v
+    | Some _ when min > 1 ->
+        Error
+          (`Msg
+            (Printf.sprintf "topology %s: K must be at least %d, got %s" what
+               min k))
     | _ ->
         Error
           (`Msg (Printf.sprintf "topology %s: %S is not a positive size" what k))
   in
   match String.split_on_char ':' s with
   | [ "figure1" ] -> Ok Topology.figure1
-  | [ "ring"; k ] -> num "ring:K" k (fun k -> Ok (Topology.ring ~groups:k))
+  | [ "ring"; k ] ->
+      num ~min:3 "ring:K" k (fun k -> Ok (Topology.ring ~groups:k))
   | [ "chain"; k ] -> num "chain:K" k (fun k -> Ok (Topology.chain ~groups:k))
   | [ "disjoint"; k ] ->
       num "disjoint:K" k (fun k -> Ok (Topology.disjoint ~groups:k ~size:3))
@@ -72,8 +81,11 @@ let topology_arg =
 let crash_of_string s =
   match String.split_on_char '@' s with
   | [ p; t ] -> (
-      try Ok (int_of_string p, int_of_string t)
-      with Failure _ -> Error (`Msg "crash must be P@T"))
+      match (int_of_string_opt p, int_of_string_opt t) with
+      | Some p, Some t when p >= 0 && t >= 0 -> Ok (p, t)
+      | Some _, Some _ ->
+          Error (`Msg (Printf.sprintf "crash %s: P and T must be at least 0" s))
+      | _ -> Error (`Msg "crash must be P@T"))
   | _ -> Error (`Msg "crash must be P@T")
 
 let crash_conv =
@@ -83,6 +95,20 @@ let crashes_arg =
   Arg.(
     value & opt_all crash_conv []
     & info [ "c"; "crash" ] ~docv:"P@T" ~doc:"Crash process $(i,P) at tick $(i,T).")
+
+(* Crash pids can only be range-checked once the topology is known: the
+   commands that take both build their failure pattern here, so a pid
+   outside the topology is a usage error (exit 124) rather than an
+   [Invalid_argument] out of [Failure_pattern.of_crashes]. *)
+let failure_pattern topo crashes =
+  let n = Topology.n topo in
+  match List.find_opt (fun (p, _) -> p >= n) crashes with
+  | Some (p, t) ->
+      Error
+        (`Msg
+          (Printf.sprintf "crash %d@%d: the topology's processes are 0..%d" p t
+             (n - 1)))
+  | None -> Ok (Failure_pattern.of_crashes ~n crashes)
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Schedule seed.")
@@ -130,37 +156,11 @@ let variant_arg =
     & opt (enum variants) Algorithm1.Vanilla
     & info [ "variant" ] ~docv:"VARIANT" ~doc:"vanilla, strict or pairwise.")
 
-(* [Arg.enum] makes an unknown backend a parse-time usage error (exit
-   124), matching every other malformed flag. *)
-let backend_arg =
-  let backends = [ ("sim", `Sim); ("parallel", `Parallel) ] in
-  Arg.(
-    value
-    & opt (enum backends) `Sim
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Execution runtime: $(b,sim) (default) is the deterministic \
-           single-domain simulator; $(b,parallel) runs each process as \
-           an OCaml 5 domain-pool task over shared memory. Verdicts are \
-           identical across backends; event interleavings (and \
-           therefore traces) need not be.")
-
-let backend_module = function
-  | `Sim -> (module Backend.Sim : Backend.S)
-  | `Parallel -> (module Backend_parallel.Parallel : Backend.S)
-
-(* Wall clock for the parallel backend's event stamps, in nanoseconds.
-   Only latency *differences* are reported, so the epoch base is
-   irrelevant; the CLI is outside the lint wall-clock fence (Exec
-   scope), which is exactly why the clock is injected here rather than
-   read inside lib/. *)
-let ns_clock () = int_of_float (Unix.gettimeofday () *. 1e9)
-
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let analyze_text topo crashes =
+let analyze_text topo fp =
   Format.printf "%a@." Topology.pp topo;
   let families = Topology.cyclic_families topo in
   Format.printf "intersecting pairs:";
@@ -172,9 +172,8 @@ let analyze_text topo crashes =
       Format.printf "  %a with %d closed path(s)@." Topology.pp_family fam
         (List.length (Topology.cpaths topo fam)))
     families;
-  if crashes <> [] then begin
-    let fp = Failure_pattern.of_crashes ~n:(Topology.n topo) crashes in
-    let crashed = Failure_pattern.faulty fp in
+  let crashed = Failure_pattern.faulty fp in
+  if not (Pset.is_empty crashed) then begin
     Format.printf "@.with %a:@." Failure_pattern.pp fp;
     List.iter
       (fun fam ->
@@ -192,15 +191,12 @@ let analyze_text topo crashes =
   Ok 0
 
 let analyze topo crashes dot =
+  let* fp = failure_pattern topo crashes in
   if dot then begin
-    let crashed =
-      Failure_pattern.faulty
-        (Failure_pattern.of_crashes ~n:(Topology.n topo) crashes)
-    in
-    print_string (Topology.to_dot topo ~crashed ());
+    print_string (Topology.to_dot topo ~crashed:(Failure_pattern.faulty fp) ());
     Ok 0
   end
-  else analyze_text topo crashes
+  else analyze_text topo fp
 
 let dot_arg =
   Arg.(value & flag & info [ "dot" ] ~doc:"Emit the intersection graph as GraphViz DOT.")
@@ -215,22 +211,15 @@ let analyze_cmd =
 (* run                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let run topo crashes seed msgs variant backend jobs =
-  let n = Topology.n topo in
-  let fp = Failure_pattern.of_crashes ~n crashes in
+let run topo crashes seed msgs variant =
+  let* fp = failure_pattern topo crashes in
   let workload = Workload.random (Rng.make seed) ~msgs ~max_at:10 topo in
   List.iter
     (fun { Workload.msg; at } ->
       Format.printf "multicast %a at t=%d@." Amsg.pp msg at)
     workload;
-  let cfg =
-    Backend.make_config ~variant ~seed ~jobs ~clock:ns_clock ~topo ~fp
-      ~workload ()
-  in
-  let (module B : Backend.S) = backend_module backend in
-  let bo = B.run cfg in
-  let o = bo.Backend.core in
-  Format.printf "@.backend: %s@." bo.Backend.backend;
+  let o = Runner.run ~variant ~seed ~topo ~fp ~workload () in
+  Format.printf "@.";
   List.iter
     (fun (p, m, t, _) -> Format.printf "t=%-4d deliver m%d at p%d@." t m p)
     (Trace.deliveries o.Runner.trace);
@@ -251,7 +240,7 @@ let run_cmd =
     Term.(
       term_result
         (const run $ topology_arg $ crashes_arg $ seed_arg $ msgs_arg
-       $ variant_arg $ backend_arg $ jobs_arg))
+       $ variant_arg))
 
 (* ------------------------------------------------------------------ *)
 (* fuzz                                                                *)
@@ -343,22 +332,33 @@ let print_violation ~minimize v =
         stats.Shrinker.steps stats.Shrinker.checks (Scenario.to_string m)
   | _ -> ()
 
+(* Read and decode one scenario file, for both [--replay] commands: a
+   missing or unreadable file is a clean error naming it (exit 124),
+   like a file that does not decode. *)
+let read_scenario path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error e ->
+      (* open errors already start with the path, read errors do not *)
+      Error
+        (`Msg
+          (if String.starts_with ~prefix:path e then e
+           else Printf.sprintf "%s: %s" path e))
+  | text ->
+      Result.map_error
+        (fun e -> `Msg (Printf.sprintf "%s: %s" path e))
+        (Scenario.of_string text)
+
 let replay_file path =
-  let ic = open_in_bin path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  match Scenario.of_string text with
-  | Error e -> Error (`Msg (Printf.sprintf "%s: %s" path e))
-  | Ok s -> (
-      Format.printf "%s" (Scenario.to_string s);
-      match Scenario.check s with
-      | Ok () ->
-          Format.printf "@.check: ok@.";
-          Ok 0
-      | Error e ->
-          Format.printf "@.check: VIOLATED: %s@." e;
-          if Corpus.expected_failing (Filename.basename path) then Ok 0
-          else Ok exit_violation)
+  let* s = read_scenario path in
+  Format.printf "%s" (Scenario.to_string s);
+  match Scenario.check s with
+  | Ok () ->
+      Format.printf "@.check: ok@.";
+      Ok 0
+  | Error e ->
+      Format.printf "@.check: VIOLATED: %s@." e;
+      if Corpus.expected_failing (Filename.basename path) then Ok 0
+      else Ok exit_violation
 
 let fuzz trials seed variant ablation faults minimize corpus save replay jobs =
   match replay with
@@ -514,13 +514,7 @@ let explore replay topo msgs variant ablation crashes max_delay seed depth
   let scenario =
     match replay with
     | None -> Ok (explore_scenario topo msgs variant ablation crashes max_delay seed)
-    | Some path -> (
-        let ic = open_in_bin path in
-        let text = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        match Scenario.of_string text with
-        | Error e -> Error (`Msg (Printf.sprintf "%s: %s" path e))
-        | Ok s -> Ok s)
+    | Some path -> read_scenario path
   in
   match scenario with
   | Error e -> Error e
@@ -639,9 +633,12 @@ let pipeline_arg =
            as the previous one is in the group log, without waiting for \
            its delivery.")
 
-(* The simulated-time path: sharded deterministic runs, numbers
-   identical for every --jobs value. *)
-let bench_throughput_sim ~topo ~fp ~seed ~batch ~pipeline ~jobs workload =
+let bench_throughput topo crashes seed rate skew duration batch pipeline jobs =
+  let* fp = failure_pattern topo crashes in
+  let rng = Rng.make seed in
+  let workload =
+    Loadgen.open_loop ~rng ~rate_pct:rate ~skew_pct:skew ~duration topo
+  in
   let shards = Shard.plan ~topo ~fp workload in
   let outcomes =
     Array.to_list
@@ -666,52 +663,10 @@ let bench_throughput_sim ~topo ~fp ~seed ~batch ~pipeline ~jobs workload =
   in
   Format.printf "latency ticks: p50=%s p99=%s max=%s@." (pct 50) (pct 99)
     (pct 100);
-  List.exists (fun o -> Result.is_error (Properties.check_core o)) outcomes
-
-(* The wall-clock path: one parallel run over real domains, stamped
-   with [ns_clock]. Latencies are wall nanoseconds, not ticks, and
-   depend on machine load — only the verdict is deterministic. *)
-let bench_throughput_parallel ~topo ~fp ~seed ~batch ~pipeline ~jobs workload =
-  let cfg =
-    Backend.make_config ~seed ~batching:batch ~pipelining:pipeline ~jobs
-      ~clock:ns_clock ~topo ~fp ~workload ()
-  in
-  let t0 = ns_clock () in
-  let bo = Backend_parallel.Parallel.run cfg in
-  let elapsed_ns = max 1 (ns_clock () - t0) in
-  let o = bo.Backend.core in
-  let samples = Backend.wall_latencies bo in
-  let delivered = List.length samples in
-  Format.printf "backend=parallel jobs=%d invoked=%d delivered=%d \
-                 instances=%d rounds=%d@."
-    jobs (List.length workload) delivered o.Runner.consensus_instances
-    o.Runner.consensus_rounds;
-  Format.printf "wall time: %.3f ms@." (float_of_int elapsed_ns /. 1e6);
-  Format.printf "throughput: %.1f msgs/sec (wall clock)@."
-    (1e9 *. float_of_int delivered /. float_of_int elapsed_ns);
-  let pct q =
-    match Latency.percentile samples q with
-    | Some v -> Printf.sprintf "%.1f" (float_of_int v /. 1e3)
-    | None -> "-"
-  in
-  Format.printf "latency us: p50=%s p99=%s max=%s@." (pct 50) (pct 99)
-    (pct 100);
-  Result.is_error (Properties.check_core o)
-
-let bench_throughput topo crashes seed rate skew duration batch pipeline
-    backend jobs =
-  let n = Topology.n topo in
-  let fp = Failure_pattern.of_crashes ~n crashes in
-  let rng = Rng.make seed in
-  let workload =
-    Loadgen.open_loop ~rng ~rate_pct:rate ~skew_pct:skew ~duration topo
-  in
   let violated =
-    match backend with
-    | `Sim -> bench_throughput_sim ~topo ~fp ~seed ~batch ~pipeline ~jobs workload
-    | `Parallel ->
-        bench_throughput_parallel ~topo ~fp ~seed ~batch ~pipeline ~jobs
-          workload
+    List.exists
+      (fun o -> Result.is_error (Properties.check_core o))
+      outcomes
   in
   if violated then begin
     Format.printf "core specification VIOLATED@.";
@@ -736,13 +691,6 @@ let bench_throughput_cmd =
          default scalar stepper to see the heavy-traffic engine's \
          amortization; $(b,bench/throughput_scaling.ml) sweeps the \
          committed grid.";
-      `P
-        "With $(b,--backend parallel) the run executes on real OCaml 5 \
-         domains instead and the report switches to wall-clock \
-         throughput and nanosecond-stamped latency percentiles; the \
-         specification verdict stays deterministic, the timings do \
-         not. $(b,bench/parallel_scaling.ml) sweeps the committed \
-         wall-clock grid.";
     ]
   in
   Cmd.v
@@ -751,7 +699,7 @@ let bench_throughput_cmd =
       term_result
         (const bench_throughput $ topology_arg $ crashes_arg $ seed_arg
        $ rate_arg $ skew_arg $ duration_arg $ batch_arg $ pipeline_arg
-       $ backend_arg $ jobs_arg))
+       $ jobs_arg))
 
 (* ------------------------------------------------------------------ *)
 (* experiment                                                          *)

@@ -30,17 +30,6 @@ let compare_datum a b =
       let rank = function Msg _ -> 0 | Pend _ -> 1 | Stab _ -> 2 in
       Int.compare (rank a) (rank b)
 
-(* Announcement transport, the backend seam: how a listed message's
-   announcement copies reach the other destination members. The
-   simulator keeps the default internal table (a pure function of the
-   scenario); a real runtime injects closures backed by its message
-   queues. See the interface for the contract each closure carries. *)
-type transport = {
-  announce : m:int -> src:int -> time:int -> unit;
-  visible : pid:int -> m:int -> time:int -> bool;
-  horizon : unit -> int;
-}
-
 type t = {
   topo : Topology.t;
   mu : Mu.t;
@@ -85,13 +74,6 @@ type t = {
   visible_at : int array array; (* visible_at.(p).(m) *)
   mutable vis_horizon : int;
   mutable links : Channel_fault.stats;
-  (* External announcement transport (the parallel backend's seam):
-     when set, [announce] replaces the internal visibility draw at
-     listing time, [visible] replaces the [visible_at] table and
-     [horizon] the [vis_horizon] bound. [None] (the default, and the
-     only mode the simulator uses) keeps every path below bit-identical
-     to the pre-seam stepper. *)
-  transport : transport option;
   mutable events : Trace.event list; (* newest first *)
   mutable seq : int;
   (* Enablement cache (hot-path indexing, DESIGN.md): a failed [step]
@@ -217,7 +199,7 @@ let log st g h =
 
 let create ?(variant = Vanilla) ?(enablement_cache = true)
     ?(batching = false) ?(pipelining = false) ?(faults = Channel_fault.none)
-    ?(fault_seed = 1) ?transport ~topo ~mu ~workload () =
+    ?(fault_seed = 1) ~topo ~mu ~workload () =
   let reqs = Array.of_list workload in
   let k = Array.length reqs in
   Array.iteri
@@ -274,7 +256,6 @@ let create ?(variant = Vanilla) ?(enablement_cache = true)
     visible_at = Array.make_matrix n k 0;
     vis_horizon = 0;
     links = Channel_fault.stats_zero;
-    transport;
     events = [];
     seq = 0;
     cache = enablement_cache;
@@ -384,21 +365,9 @@ let draw_visibility st p t m =
    m is listed (every guard then sees m as absent anyway) and for ever
    after the drawn arrival tick. *)
 let visible st p t m =
-  match st.transport with
-  | Some tr -> (not st.listed.(m)) || tr.visible ~pid:p ~m ~time:t
-  | None ->
-      Channel_fault.is_none st.faults
-      || (not st.listed.(m))
-      || t >= st.visible_at.(p).(m)
-
-(* Whether the visibility gate filters candidate messages at all:
-   always under an external transport, and only under an effective
-   fault spec for the internal table ([Channel_fault.none] passes
-   everything, keeping fault-free simulator runs bit-identical). *)
-let gated st =
-  match st.transport with
-  | Some _ -> true
-  | None -> not (Channel_fault.is_none st.faults)
+  Channel_fault.is_none st.faults
+  || (not st.listed.(m))
+  || t >= st.visible_at.(p).(m)
 
 (* multicast(m), lines 5–7, sequenced through L_g (Prop. 1): the source
    first publishes m in the shared list. *)
@@ -408,9 +377,7 @@ let try_list st p t m =
     let l = st.lists.(msg.Amsg.dst) in
     l := m :: !l;
     st.listed.(m) <- true;
-    (match st.transport with
-    | None -> draw_visibility st p t m
-    | Some tr -> tr.announce ~m ~src:p ~time:t);
+    draw_visibility st p t m;
     touch_group st msg.Amsg.dst;
     emit st (fun seq -> Trace.Invoke { m; p; time = t; seq });
     true
@@ -813,7 +780,7 @@ let step st ~pid:p ~time:t =
      everything through untouched, keeping fault-free runs bit-identical
      to the pre-fault stepper. *)
   let base =
-    if not (gated st) then st.relevant.(p)
+    if Channel_fault.is_none st.faults then st.relevant.(p)
     else List.filter (fun m -> visible st p t m) st.relevant.(p)
   in
   let live =
@@ -927,33 +894,12 @@ let consensus_rounds st = st.rounds
 let delivered st ~pid ~m = st.phase.(pid).(m) = Trace.Delivered
 let channel_faults st = st.faults
 let link_stats st = st.links
-let visibility_horizon st =
-  match st.transport with Some tr -> tr.horizon () | None -> st.vis_horizon
-
-let event_seq st = st.seq
-
-let events_since st ~from =
-  (* [st.events] holds exactly [st.seq] events, newest first, so the
-     suffix with seq >= [from] is the first [st.seq - from] cells —
-     reversed back to execution order. *)
-  let rec take k acc l =
-    if k <= 0 then acc
-    else match l with [] -> acc | e :: tl -> take (k - 1) (e :: acc) tl
-  in
-  take (st.seq - from) [] st.events
+let visibility_horizon st = st.vis_horizon
 
 let visibility st ~pid ~m ~time =
-  match st.transport with
-  | Some tr ->
-      (* An external transport only answers "arrived yet?": a copy
-         still in flight reports a nominal one-tick wait, and a lost
-         copy is indistinguishable from a late one. *)
-      if (not st.listed.(m)) || tr.visible ~pid ~m ~time then `Visible
-      else `Pending 1
-  | None ->
-      if Channel_fault.is_none st.faults || not st.listed.(m) then `Visible
-      else
-        let v = st.visible_at.(pid).(m) in
-        if v = max_int then `Lost
-        else if time >= v then `Visible
-        else `Pending (v - time)
+  if Channel_fault.is_none st.faults || not st.listed.(m) then `Visible
+  else
+    let v = st.visible_at.(pid).(m) in
+    if v = max_int then `Lost
+    else if time >= v then `Visible
+    else `Pending (v - time)

@@ -52,14 +52,11 @@ let rule_names = List.map fst rules
    [racecheck] because an analyzer that diverges across runs would make
    the @racecheck gate flaky; [loadgen] because generated workloads,
    shard plans and latency accounting feed the committed throughput
-   benchmark and its jobs-identity contract; [backend] because the
-   cross-backend verdict-identity suite replays the same scenarios
-   through both runtimes and any hidden clock or IO in the seam would
-   desynchronize them. *)
+   benchmark and its jobs-identity contract. *)
 let strict_libs =
   [
     "sim"; "core"; "fuzz"; "net"; "objects"; "substrate"; "util"; "lint";
-    "explore"; "experiments"; "racecheck"; "loadgen"; "backend";
+    "explore"; "experiments"; "racecheck"; "loadgen";
   ]
 
 let segments file =

@@ -165,7 +165,7 @@ let find_first ?(jobs = 1) ?chunk n f =
 (* A long-lived generation-stamped pool: workers block on a condition
    variable between batches instead of being spawned per call, so the
    per-run domain spawn/join cost disappears from callers that issue
-   many batches (bench iterations, the parallel backend's round loop).
+   many batches (bench iterations, [Shard.run ~pool]).
    Every pool field is only touched under [pm]; the batch bodies
    themselves synchronise through their own Atomics exactly like
    [map]'s workers. *)

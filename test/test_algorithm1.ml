@@ -298,6 +298,93 @@ let e2e_claims =
       let o = Scenario.run ~record_snapshots:true s in
       List.for_all (fun (_, v) -> v = Ok ()) (Claims.all o))
 
+(* ---------------- trace well-formedness ---------------------------- *)
+
+(* The [Trace] invariants every recorded run must satisfy, whatever
+   the scenario: dense sequence numbers equal to the event index, pids
+   in range, per-(p, m) phase ranks that never decrease, invocation
+   before the first delivery, and deliveries only at destination
+   members. *)
+let event_fields = function
+  | Trace.Invoke { m; p; seq; _ } -> (m, p, seq)
+  | Trace.Send { m; p; seq; _ } -> (m, p, seq)
+  | Trace.Phase_change { m; p; seq; _ } -> (m, p, seq)
+  | Trace.Deliver { m; p; seq; _ } -> (m, p, seq)
+
+let well_formed name (o : Runner.outcome) =
+  let trace = o.Runner.trace in
+  let topo = o.Runner.topo in
+  let n = Topology.n topo in
+  List.iteri
+    (fun i e ->
+      let m, p, seq = event_fields e in
+      if seq <> i then
+        Alcotest.failf "%s: event %d has seq %d (not dense)" name i seq;
+      if p < 0 || p >= n then Alcotest.failf "%s: event %d pid %d" name i p;
+      if m < 0 then Alcotest.failf "%s: event %d msg %d" name i m)
+    trace.Trace.events;
+  List.iter
+    (fun { Workload.msg; _ } ->
+      let m = msg.Amsg.id in
+      for p = 0 to n - 1 do
+        let rec mono = function
+          | a :: (b :: _ as rest) ->
+              if Trace.phase_rank a > Trace.phase_rank b then
+                Alcotest.failf "%s: phase rank drops at p%d m%d" name p m
+              else mono rest
+          | _ -> ()
+        in
+        mono (Trace.phase_history trace ~p ~m)
+      done;
+      (match (Trace.invoke_seq trace ~m, Trace.first_delivery_seq trace ~m) with
+      | Some i, Some d when i >= d ->
+          Alcotest.failf "%s: m%d delivered (seq %d) before invoked (seq %d)"
+            name m d i
+      | None, Some _ -> Alcotest.failf "%s: m%d delivered, never invoked" name m
+      | _ -> ());
+      let members = Topology.group topo msg.Amsg.dst in
+      List.iter
+        (fun (p, m', _, _) ->
+          if m' = m && not (Pset.mem p members) then
+            Alcotest.failf "%s: m%d delivered at non-member p%d" name m p)
+        (Trace.deliveries trace))
+    o.Runner.workload
+
+(* Over the whole corpus, and over loadgen traffic with the batching
+   and pipelining modes on (crashes and channel delay included). *)
+let trace_well_formed () =
+  let corpus =
+    List.map
+      (fun (name, decoded) ->
+        match decoded with
+        | Ok s -> (name, Scenario.run s)
+        | Error e -> Alcotest.failf "%s does not decode: %s" name e)
+      (Corpus.load ~dir:"../corpus")
+  in
+  if corpus = [] then Alcotest.fail "empty corpus";
+  let delayed = { Channel_fault.none with Channel_fault.delay = 3 } in
+  let loadgen =
+    List.map
+      (fun (name, topo, crashes, rate, skew, faults, seed) ->
+        let workload =
+          Loadgen.open_loop ~rng:(Rng.make seed) ~rate_pct:rate ~skew_pct:skew
+            ~duration:12 topo
+        in
+        let fp = Failure_pattern.of_crashes ~n:(Topology.n topo) crashes in
+        ( name,
+          Runner.run ~seed ~batching:true ~pipelining:true ~faults ~topo ~fp
+            ~workload () ))
+      [
+        ("disjoint-6x2", Topology.disjoint ~groups:6 ~size:2, [], 250, 100,
+         Channel_fault.none, 2);
+        ("ring-4", Topology.ring ~groups:4, [], 120, 0, Channel_fault.none, 3);
+        ("ring-5 crash", Topology.ring ~groups:5, [ (1, 8) ], 100, 0,
+         Channel_fault.none, 4);
+        ("chain-4 delayed", Topology.chain ~groups:4, [], 150, 50, delayed, 5);
+      ]
+  in
+  List.iter (fun (name, o) -> well_formed name o) (corpus @ loadgen)
+
 let suite =
   [
     t "figure1, no crash" `Quick figure1_no_crash;
@@ -321,3 +408,4 @@ let suite =
   @ List.map
       (QCheck_alcotest.to_alcotest ~long:false)
       [ strict_holds_under_crashes; pairwise_holds; e2e_random; e2e_claims ]
+  @ [ t "trace well-formed: corpus and batched loadgen" `Quick trace_well_formed ]

@@ -49,6 +49,5 @@ let () =
       ("checker identity", Test_checker_identity.suite);
       ("loadgen", Test_loadgen.suite);
       ("throughput identity", Test_throughput_identity.suite);
-      ("backend identity", Test_backend_identity.suite);
       ("experiments", [ Alcotest.test_case "sections render" `Quick experiments_sanity ]);
     ]
