@@ -308,7 +308,7 @@ and run_faults_scaling ~smoke ~label () =
         (arg_string "--faults-out")
 
 (* The heavy-traffic counterpart (see throughput_scaling.ml): msgs/sec
-   with engine modes off vs batching+pipelining+sharding, on the shared
+   with engine modes off vs batching+sharding, on the shared
    quota and --jobs pool. Its own output file via --throughput-out. *)
 and run_throughput_scaling ~quota_ms ~smoke ~label () =
   let results = Throughput_scaling.run_all ~quota_ms ~jobs ~smoke in

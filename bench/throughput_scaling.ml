@@ -1,21 +1,20 @@
-(* The heavy-traffic throughput suite (DESIGN.md "Batching, pipelining
-   & group sharding").
+(* The heavy-traffic throughput suite (DESIGN.md "Batching & group
+   sharding").
 
    A grid of open-loop loadgen scenarios — disjoint topologies (many
    independent group-families, the sharding regime) and rings (one
-   contended cyclic family, the batching/pipelining regime) — crossed
-   with arrival rates. Every case is executed twice: engine modes OFF
-   (the seed stepper, one sequential run) and ON (batching + pipelining
-   + group-family sharding over the domain pool).
+   contended cyclic family, the batching regime) — crossed with arrival
+   rates. Every case is executed twice: engine modes OFF (the seed
+   stepper, one sequential run) and ON (batching + group-family
+   sharding over the domain pool).
 
    Throughput is measured in SIMULATED time: one tick is one simulated
    millisecond, and msgs/sec is completed deliveries over the makespan
    (first invoke to last delivery, [Latency.span]). The seed stepper
    executes one action per process per tick, so a deep dependency chain
-   costs a tick per hop; the batched engine drains whole cascades and
-   pipelines consensus slots, collapsing the chain — that tick-count
-   contraction is precisely the consensus-round-latency win batching
-   and pipelining buy a deployment, and measuring it in simulated time
+   costs a tick per hop; the batched engine drains whole cascades
+   within a tick, collapsing the chain — that tick-count contraction is
+   the win batching buys, and measuring it in simulated time
    keeps every reported number bit-deterministic (machine-independent,
    so the committed JSON is CI-checkable: the validator pins
    `verdicts_equal` and the percentile orderings exactly). Wall-clock
@@ -23,8 +22,8 @@
    [sim_ns_per_run] — it tracks simulator cost, not algorithm
    throughput.
 
-   Both executions are verified against the core atomic multicast spec
-   ([Properties.core]); a case only counts as valid when the verdict
+   Both executions are verified against the full specification
+   ([Properties.all]); a case only counts as valid when the verdict
    vectors agree (all Ok on both sides) — the `verdicts_equal` flag
    the validator pins to true.
 
@@ -95,11 +94,6 @@ type result = {
   on_ : mode_result;
 }
 
-let all_core_ok outcome =
-  List.for_all
-    (fun (_, v) -> match v with Ok () -> true | Error _ -> false)
-    (Properties.core outcome)
-
 (* Time [go] like scaling.ml's measure: one run always, then repeat
    until the quota is spent, reporting the mean. *)
 let timed ~quota_ms go =
@@ -129,7 +123,8 @@ let mode_result ~ns_per_run ~runs outcomes =
     lat_max = pct 100;
     rounds =
       List.fold_left (fun acc o -> acc + o.Runner.consensus_rounds) 0 outcomes;
-    spec_ok = List.for_all all_core_ok outcomes;
+    spec_ok =
+      List.for_all (fun o -> Result.is_ok (Properties.check_all o)) outcomes;
   }
 
 let measure ~quota_ms ~pool c =
@@ -143,7 +138,7 @@ let measure ~quota_ms ~pool c =
   let on_run () =
     (* planning is part of the pipeline, so it is timed too *)
     let shards = Shard.plan ~topo:c.topo ~fp workload in
-    Shard.run ~pool ~seed:1 ~batching:true ~pipelining:true shards
+    Shard.run ~pool ~seed:1 ~batching:true shards
   in
   let off_o, off_s, off_runs = timed ~quota_ms off_run in
   let on_o, on_s, on_runs = timed ~quota_ms on_run in
@@ -183,7 +178,7 @@ let verdicts_equal r = r.off.spec_ok && r.on_.spec_ok
 
 let print_text results =
   print_endline
-    "== Throughput suite (engine modes off vs batching+pipelining+sharding) ==";
+    "== Throughput suite (engine modes off vs batching+sharding) ==";
   List.iter
     (fun r ->
       Printf.printf

@@ -20,9 +20,9 @@
    relative to the fault-free baseline); "throughput-scaling" cases
    carry name/msgs/shards/off_msgs_per_sec/on_msgs_per_sec/speedup,
    monotone p50/p99/max latency grids per engine mode, on_rounds <=
-   off_rounds (batching only amortizes) and a verdicts_equal flag that
-   must be true (the heavy-traffic engine modes must not change a
-   core-spec verdict).
+   off_rounds (the drain adds no proposals) and a verdicts_equal flag
+   that must be true (the heavy-traffic engine modes must not change a
+   specification verdict).
    Exits non-zero with a message naming the file and the offending path
    on any mismatch.
 
@@ -299,13 +299,13 @@ let check_throughput_case path c =
       if p50 > p99 || p99 > mx then
         schema_fail path (mode ^ " percentiles must be monotone"))
     [ "off"; "on" ];
-  (* Batching may only amortize: a round covers at least one proposal,
-     so the batched run never takes more rounds than the scalar one. *)
+  (* A round is one proposal and the drain runs the paper's actions, so
+     the batched run never takes more rounds than the scalar one. *)
   if num "on_rounds" > num "off_rounds" then
     schema_fail path "on_rounds must be <= off_rounds";
   (* Verdict identity across engine modes is part of the schema: a
-     trajectory recording that batching/pipelining/sharding changed a
-     core-spec verdict is invalid, full stop. *)
+     trajectory recording that batching/sharding changed a
+     specification verdict is invalid, full stop. *)
   if not (as_bool (path ^ ".verdicts_equal") (field path c "verdicts_equal"))
   then schema_fail path "verdicts_equal must be true"
 

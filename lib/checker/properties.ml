@@ -398,23 +398,10 @@ let all outcome =
   | Algorithm1.Pairwise ->
       base @ [ ("pairwise-ordering", pairwise_ordering_cx cx) ]
 
-(* The vanilla atomic-multicast spec (§2.2/§6/§7) without the §4.1
-   group-sequentiality of the reduction: what the heavy-traffic
-   pipelined stepper still guarantees (DESIGN.md "Batching, pipelining
-   & group sharding"), and hence what the throughput benches compare
-   across modes. *)
-let core outcome =
-  List.filter (fun (name, _) -> name <> "group-sequential") (all outcome)
-
-let failures_of checks =
-  List.filter_map
-    (function name, Error e -> Some (name ^ ": " ^ e) | _, Ok () -> None)
-    checks
-
 let check_all outcome =
-  let failures = failures_of (all outcome) in
-  if failures = [] then Ok () else Error (String.concat "; " failures)
-
-let check_core outcome =
-  let failures = failures_of (core outcome) in
+  let failures =
+    List.filter_map
+      (function name, Error e -> Some (name ^ ": " ^ e) | _, Ok () -> None)
+      (all outcome)
+  in
   if failures = [] then Ok () else Error (String.concat "; " failures)

@@ -54,17 +54,6 @@ val all : Runner.outcome -> (string * verdict) list
 val check_all : Runner.outcome -> verdict
 (** [Error] carrying every failed check of {!all}, if any. *)
 
-val core : Runner.outcome -> (string * verdict) list
-(** {!all} minus the group-sequential check: the vanilla atomic
-    multicast spec of §2.2 (integrity, termination, minimality, plus
-    the variant's ordering). This is what the heavy-traffic pipelined
-    stepper still guarantees — relaxing the [A.multicast] gate trades
-    the §4.1 group-sequentiality of the reduction for pipeline depth —
-    and what the throughput benches hold fixed across engine modes. *)
-
-val check_core : Runner.outcome -> verdict
-(** [Error] carrying every failed check of {!core}, if any. *)
-
 val group_parallelism : Runner.outcome -> m:int -> verdict
 (** The §6.2 property for one message: [m] (invoked, or delivered
     somewhere) is delivered at every correct member of [dst m]. Use on

@@ -57,9 +57,6 @@ type t = {
   (* Messages addressed to a group the process belongs to. *)
   relevant : int list array;
   groups_of : Topology.gid list array;
-  (* Per destination group, every other group it intersects — the full
-     pend-coverage requirement of the pipelined commit gate. *)
-  cover : Topology.gid list array;
   (* Channel faults (lib/net's Channel_fault) applied to the one piece
      of genuine inter-process communication the Prop. 1 reduction has:
      the multicast announcement published through L_g. [visible_at.(q).(m)]
@@ -87,21 +84,14 @@ type t = {
      false restores the seed stepper — the reference the
      trace-identity tests compare against. *)
   cache : bool;
-  (* Heavy-traffic engine modes (DESIGN.md "Batching, pipelining &
-     group sharding"); both default to false, and with both false the
-     stepper is bit-identical to the seed stepper.
-     [batching]: a step drains every enabled action of the process (one
-     cascade pass per action kind, repeated to a fixpoint) and commits
-     whole per-group rounds — every fresh message of a round decides
-     the same log position in one consensus round, the a-priori
-     [compare_datum] breaking the tie. [pipelining]: [try_send] appends
-     a listed message once its predecessors are merely *sent* (in
-     [LOG_g]) instead of locally delivered, so consensus on slot k+1
-     overlaps the delivery of slot k. [rounds] counts commit rounds —
-     the consensus invocations a networked backend would make; without
-     batching it equals the number of proposals issued. *)
+  (* Heavy-traffic engine mode (DESIGN.md "Batching & group
+     sharding"), default false, in which case the stepper is
+     bit-identical to the seed stepper. [batching]: a step drains every
+     enabled action of the process (one cascade pass per action kind,
+     repeated to a fixpoint). [rounds] counts commit rounds — the
+     consensus invocations a networked backend would make, one per
+     proposal. *)
   batching : bool;
-  pipelining : bool;
   mutable rounds : int;
   ver_group : int array;
   ver_proc : int array;
@@ -198,8 +188,8 @@ let log st g h =
       l
 
 let create ?(variant = Vanilla) ?(enablement_cache = true)
-    ?(batching = false) ?(pipelining = false) ?(faults = Channel_fault.none)
-    ?(fault_seed = 1) ~topo ~mu ~workload () =
+    ?(batching = false) ?(faults = Channel_fault.none) ?(fault_seed = 1) ~topo
+    ~mu ~workload () =
   let reqs = Array.of_list workload in
   let k = Array.length reqs in
   Array.iteri
@@ -246,11 +236,6 @@ let create ?(variant = Vanilla) ?(enablement_cache = true)
     h_key;
     relevant;
     groups_of = Array.init n (Topology.groups_of topo);
-    cover =
-      Array.init (Topology.num_groups topo) (fun g ->
-          List.filter
-            (fun h -> h <> g && Topology.intersecting topo g h)
-            (Topology.gids topo));
     faults;
     fault_seed;
     visible_at = Array.make_matrix n k 0;
@@ -260,7 +245,6 @@ let create ?(variant = Vanilla) ?(enablement_cache = true)
     seq = 0;
     cache = enablement_cache;
     batching;
-    pipelining;
     rounds = 0;
     ver_group = Array.make (Topology.num_groups topo) 0;
     ver_proc = Array.make n 0;
@@ -268,9 +252,9 @@ let create ?(variant = Vanilla) ?(enablement_cache = true)
     fail_p = Array.make_matrix n k (-1);
     fail_t = Array.make_matrix n k (-1);
     drain = 0;
-    att_stamp = Array.make_matrix 7 k 0;
-    att_g = Array.make_matrix 7 k (-1);
-    att_p = Array.make_matrix 7 k (-1);
+    att_stamp = Array.make_matrix 3 k 0;
+    att_g = Array.make_matrix 3 k (-1);
+    att_p = Array.make_matrix 3 k (-1);
     del_seen = Array.make n 0;
     del_pruned = Array.make n 0;
     sent = Array.make k false;
@@ -387,13 +371,7 @@ let try_list st p t m =
 (* A.multicast(m): append m to LOG_g once every message listed before m
    in L_g has been delivered locally (helping included — any member of
    g may perform the append, preserving the ≺ invariant because the
-   appender has delivered every predecessor). In pipelined mode the
-   gate is relaxed to "every predecessor is already in LOG_g": the
-   append order (and hence the shared log prefix) still follows the
-   list order, but slots overlap — the per-message §4.1 group-
-   sequentiality of the reduction is traded for pipeline depth while
-   the vanilla atomic-multicast spec (integrity, termination, acyclic
-   delivery order, minimality) is preserved; see DESIGN.md. *)
+   appender has delivered every predecessor). *)
 let attempt_send st p t m =
   let msg = st.msgs.(m) in
   let g = msg.Amsg.dst in
@@ -408,20 +386,14 @@ let attempt_send st p t m =
       in
       after_m !(st.lists.(g))
     in
-    let fire () =
+    if List.for_all (fun m' -> st.phase.(p).(m') = Trace.Delivered) older
+    then begin
       ignore (Log.append (log st g g) (Msg m));
       st.sent.(m) <- true;
       touch_group st g;
       emit st (fun seq -> Trace.Send { m; p; time = t; seq });
       att_fired
-    in
-    if st.pipelining then
-      (* [sent] flips only under [touch_group g]: a failure here is
-         group-versioned content. *)
-      if List.for_all (fun m' -> st.sent.(m')) older then fire ()
-      else att_blocked
-    else if List.for_all (fun m' -> st.phase.(p).(m') = Trace.Delivered) older
-    then fire ()
+    end
     else att_opaque (* local-phase-dependent: no group-versioned witness *)
 
 let try_send st p t m = attempt_send st p t m = att_fired
@@ -450,108 +422,26 @@ let attempt_pending st p t m =
 
 let try_pending st p t m = attempt_pending st p t m = att_fired
 
-(* The commit guard of lines 16–24, shared by the scalar and batched
-   committers: [Some k] when every γ-group has a recorded (m, h, i)
-   tuple, with [k] the highest such position — read from the exact
-   [pend_hs]/[pend_k] cache instead of scanning LOG_g.
-
-   Pipelined runs additionally wait for a pend tuple from EVERY
-   intersecting group, not just γ. With deep pipelines an interior
-   member (whose γ is empty — it sits in no intersection) can otherwise
-   decide a slot k before a boundary member has pended m; that member's
-   later append into the shared pair log then lands above k, and since
-   [bump_and_lock] only raises, m ends at different effective positions
-   in LOG_g(g) and LOG_g(h). Two messages inverted across the two logs
-   deadlock the boundary member's deliver guard. Full coverage makes
-   the decided k an upper bound on every append position of Msg m, so
-   the bump pins m at exactly k in every log and the cross-log order is
-   one total order (k, then [compare_datum]) — wait-for stays acyclic.
-   The price is crash-liveness: a crashed boundary member stalls its
-   group's commits, which γ-gating was designed to excuse (§4.1 trade,
-   see DESIGN.md). *)
-let commit_ready st p t m =
-  let g = st.msgs.(m).Amsg.dst in
-  let covered h = List.mem h st.pend_hs.(m) in
-  if
-    List.for_all covered (gamma_groups st p t g)
-    && ((not st.pipelining) || List.for_all covered st.cover.(g))
-  then Some st.pend_k.(m)
-  else None
-
-(* commit(m), lines 16–24. *)
+(* commit(m), lines 16–24. The guard waits for a recorded (m, h, i)
+   tuple from every γ-group and proposes the highest such position —
+   both read from the exact [pend_hs]/[pend_k] cache instead of
+   scanning LOG_g. *)
 let try_commit st p t m =
   let g = st.msgs.(m).Amsg.dst in
   st.phase.(p).(m) = Trace.Pending
-  && (match commit_ready st p t m with
-     | None -> false
-     | Some k ->
-         let fam_key = List.assoc g st.h_key.(p) in
-         st.rounds <- st.rounds + 1;
-         let k = Consensus_table.propose st.cons (m, fam_key) k in
-         List.iter
-           (fun h -> Log.bump_and_lock (log st g h) (Msg m) k)
-           st.groups_of.(p);
-         touch_pair_logs st p g;
-         touch_bumps st p g;
-         set_phase st p m Trace.Commit t;
-         true)
-
-(* Batched commit (lines 16–24, amortized): gather every Pending
-   message of each destination group whose γ-guard holds and run ONE
-   consensus round for the whole batch. Every member proposes the same
-   decided position kd — the max of the members' observed positions —
-   so the fresh messages of a round land at one log position and the
-   a-priori [compare_datum] fixes the in-batch delivery order, exactly
-   the Multi-Paxos batching trade. Consensus keys stay per-message, so
-   agreement with concurrent scalar or foreign rounds is unchanged;
-   only the invocation count ([rounds]) is amortized. Groups are walked
-   in the deterministic [groups_of] order. *)
-let batch_commit st p t candidates =
-  let fired = ref false in
-  List.iter
-    (fun g ->
-      let round =
-        List.filter_map
-          (fun m ->
-            if st.msgs.(m).Amsg.dst = g && st.phase.(p).(m) = Trace.Pending
-            then begin
-              let cg = st.ver_group.(g) and cp = st.ver_proc.(p) in
-              if
-                st.att_stamp.(3).(m) = st.drain
-                && st.att_g.(3).(m) = cg
-                && st.att_p.(3).(m) = cp
-              then None
-              else
-                match commit_ready st p t m with
-                | Some k -> Some (m, k)
-                | None ->
-                    st.att_stamp.(3).(m) <- st.drain;
-                    st.att_g.(3).(m) <- cg;
-                    st.att_p.(3).(m) <- cp;
-                    None
-            end
-            else None)
-          candidates
-      in
-      match round with
-      | [] -> ()
-      | members ->
-          let kd = List.fold_left (fun acc (_, k) -> max acc k) 0 members in
-          let fam_key = List.assoc g st.h_key.(p) in
-          st.rounds <- st.rounds + 1;
-          List.iter
-            (fun (m, _) ->
-              let k = Consensus_table.propose st.cons (m, fam_key) kd in
-              List.iter
-                (fun h -> Log.bump_and_lock (log st g h) (Msg m) k)
-                st.groups_of.(p);
-              set_phase st p m Trace.Commit t)
-            members;
-          touch_pair_logs st p g;
-          touch_bumps st p g;
-          fired := true)
-    st.groups_of.(p);
-  !fired
+  && List.for_all (fun h -> List.mem h st.pend_hs.(m)) (gamma_groups st p t g)
+  && begin
+       let fam_key = List.assoc g st.h_key.(p) in
+       st.rounds <- st.rounds + 1;
+       let k = Consensus_table.propose st.cons (m, fam_key) st.pend_k.(m) in
+       List.iter
+         (fun h -> Log.bump_and_lock (log st g h) (Msg m) k)
+         st.groups_of.(p);
+       touch_pair_logs st p g;
+       touch_bumps st p g;
+       set_phase st p m Trace.Commit t;
+       true
+     end
 
 (* stabilize(m, h), lines 25–29.
 
@@ -695,13 +585,12 @@ let enabled st ~pid:p ~time:t =
 (* One batched cascade pass: attempt every action kind over every
    candidate in the scalar stepper's priority order, executing ALL
    enabled actions instead of the first. Returns whether anything
-   fired. Stabilize drains every (m, h) pair; commit goes through
-   [batch_commit] so a pass costs one consensus round per group. *)
+   fired. Stabilize drains every (m, h) pair. *)
 let batch_pass st p t candidates =
   let any = ref false in
-  (* The γ- and [t]-dependent sweeps (stable, commit in [batch_commit],
-     list) use the per-drain memo, slots 1/3/6 of [att_*]; the walk
-     sweeps use the cross-drain [wb_*] memo instead. Every sweep
+  (* The γ- and [t]-dependent sweeps (stable, commit, list) use the
+     per-drain memo, slots 0/1/2 of [att_*]; the walk sweeps use the
+     cross-drain [wb_*] memo instead. Every sweep
      applies to exactly one phase of (p, m), so the phase is checked
      before either memo probe — the common wrong-phase case costs one
      array read. *)
@@ -760,16 +649,27 @@ let batch_pass st p t candidates =
   run_walk 0 Trace.Stable
     (Trace.phase_rank Trace.Delivered)
     (attempt_deliver st p t);
-  run 1 Trace.Commit (try_stable st p t);
+  run 0 Trace.Commit (try_stable st p t);
   run_walk 1 Trace.Commit
     (Trace.phase_rank Trace.Stable)
     (attempt_stabilize st p t);
-  if batch_commit st p t candidates then any := true;
+  (* Commit walks p's groups in [groups_of] order, which fixes the
+     event order within a pass. The pending gate admits at most one
+     Pending message per (process, group), so a group commits at most
+     one message per pass. *)
+  List.iter
+    (fun g ->
+      List.iter
+        (fun m ->
+          if st.msgs.(m).Amsg.dst = g && st.phase.(p).(m) = Trace.Pending then
+            memo_eval 1 (try_commit st p t) m)
+        candidates)
+    st.groups_of.(p);
   run_walk 2 Trace.Start
     (Trace.phase_rank Trace.Commit)
     (attempt_pending st p t);
   run_walk 3 Trace.Start 0 (attempt_send st p t);
-  run 6 Trace.Start (try_list st p t);
+  run 2 Trace.Start (try_list st p t);
   !any
 
 let step st ~pid:p ~time:t =
@@ -792,19 +692,16 @@ let step st ~pid:p ~time:t =
   | _ ->
       let executed =
         if st.batching then begin
-          (* Drain to a fixpoint: the first pass runs over the cache-
-             filtered [live] set (a fired action bumps version counters,
-             so later passes must widen to the full visible [base] —
-             previously-skippable messages may have become enabled).
-             The per-drain memo keeps the widened passes cheap. *)
+          (* Drain to a fixpoint. Every pass runs over the full visible
+             [base] — [live] only answers "anything to do?" — so the
+             event order within the tick is the same with the cache on
+             or off. The per-drain memo keeps the repeated passes
+             cheap. *)
           st.drain <- st.drain + 1;
-          if batch_pass st p t live then begin
-            while batch_pass st p t base do
-              ()
-            done;
-            true
-          end
-          else false
+          let rec drain fired =
+            if batch_pass st p t base then drain true else fired
+          in
+          drain false
         end
         else
           let try_each f l = List.exists f l in

@@ -39,7 +39,6 @@ val create :
   ?variant:variant ->
   ?enablement_cache:bool ->
   ?batching:bool ->
-  ?pipelining:bool ->
   ?faults:Channel_fault.spec ->
   ?fault_seed:int ->
   topo:Topology.t ->
@@ -51,18 +50,10 @@ val create :
 
     [batching] (default [false]) turns on the heavy-traffic drain
     stepper: a [step] executes {e every} enabled action of the process
-    (cascade passes to a fixpoint) instead of the first one, and
-    commits whole per-group rounds — every γ-ready Pending message of
-    a group decides one shared log position in a single consensus
-    round, the a-priori {!compare_datum} ordering the batch (the
-    Multi-Paxos batching trade). [pipelining] (default [false]) relaxes
-    the [A.multicast] gate: a listed message is appended to [LOG_g]
-    once its predecessors in [L_g] are merely {e sent} (in [LOG_g])
-    rather than locally delivered, so consensus on slot k+1 overlaps
-    the delivery of slot k. Both modes preserve the vanilla
-    atomic-multicast spec (checked by [Properties.core]); pipelining
-    gives up the per-message §4.1 group-sequentiality of the reduction
-    — see DESIGN.md "Batching, pipelining & group sharding".
+    (cascade passes to a fixpoint) instead of the first one. The
+    actions are the paper's, so batched runs satisfy the full
+    specification ([Properties.all]) — see DESIGN.md "Batching & group
+    sharding".
 
     [faults] (default {!Channel_fault.none}) injects channel faults
     into the one genuine inter-process communication of the Prop. 1
@@ -79,8 +70,9 @@ val create :
     version counters on log/list/phase mutations, so [step] skips
     messages whose guards cannot have changed since they last failed.
     The cache only prunes provably-disabled candidates, so traces are
-    bit-identical either way; [false] recovers the reference stepper
-    (used by the trace-identity tests). *)
+    bit-identical either way, with or without [batching]; [false]
+    recovers the reference stepper (used by the trace-identity
+    tests). *)
 
 val step : t -> pid:int -> time:int -> bool
 (** Execute at most one enabled action of process [pid] (with
@@ -110,10 +102,7 @@ val consensus_instances : t -> int
 
 val consensus_rounds : t -> int
 (** Number of commit rounds run so far — the consensus invocations a
-    networked backend would make. Without batching this equals the
-    number of proposals issued; with batching a whole per-group round
-    of messages counts once, so [rounds / instances] measures the
-    amortization. *)
+    networked backend would make, one per proposal in every mode. *)
 
 val listed : t -> m:int -> bool
 (** Whether the Prop. 1 [multicast] of message [m] has been invoked

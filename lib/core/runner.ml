@@ -24,9 +24,8 @@ let snapshot_of st =
   List.map (fun key -> (key, Algorithm1.log_snapshot st key)) (Algorithm1.log_keys st)
 
 let run ?(variant = Algorithm1.Vanilla) ?(seed = 1) ?horizon ?mu ?scheduled
-    ?enablement_cache ?batching ?pipelining ?driver
-    ?(faults = Channel_fault.none) ?(record_snapshots = false) ~topo ~fp
-    ~workload () =
+    ?enablement_cache ?batching ?driver ?(faults = Channel_fault.none)
+    ?(record_snapshots = false) ~topo ~fp ~workload () =
   let mu = match mu with Some m -> m | None -> Mu.make ~seed topo fp in
   let horizon =
     match horizon with
@@ -40,7 +39,7 @@ let run ?(variant = Algorithm1.Vanilla) ?(seed = 1) ?horizon ?mu ?scheduled
         + ((List.length workload + 1) * Channel_fault.latency_bound faults)
   in
   let st =
-    Algorithm1.create ~variant ?enablement_cache ?batching ?pipelining ~faults
+    Algorithm1.create ~variant ?enablement_cache ?batching ~faults
       ~fault_seed:seed ~topo ~mu ~workload ()
   in
   let snapshots = ref [] in

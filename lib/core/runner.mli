@@ -19,9 +19,8 @@ type outcome = {
   final_logs : snapshot;
   consensus_instances : int;
   consensus_rounds : int;
-      (** commit rounds run — networked consensus invocations; equals
-          the proposal count without batching, fewer with it (see
-          {!Algorithm1.consensus_rounds}) *)
+      (** commit rounds run — networked consensus invocations, one per
+          proposal (see {!Algorithm1.consensus_rounds}) *)
   links : Channel_fault.stats;
       (** fate of every announcement copy under the run's channel-fault
           spec ({!Channel_fault.stats_zero} for fault-free runs) *)
@@ -39,7 +38,6 @@ val run :
   ?scheduled:(int -> Pset.t) ->
   ?enablement_cache:bool ->
   ?batching:bool ->
-  ?pipelining:bool ->
   ?driver:(Algorithm1.t -> time:int -> unit) ->
   ?faults:Channel_fault.spec ->
   ?record_snapshots:bool ->
@@ -55,9 +53,9 @@ val run :
     [true]) is forwarded to {!Algorithm1.create}; [false] runs the
     reference stepper, which produces the same trace, slower.
 
-    [batching] and [pipelining] (both default [false]) are forwarded to
-    {!Algorithm1.create} — the heavy-traffic stepper modes of DESIGN.md
-    "Batching, pipelining & group sharding".
+    [batching] (default [false]) is forwarded to {!Algorithm1.create} —
+    the heavy-traffic drain stepper of DESIGN.md "Batching & group
+    sharding".
 
     [driver], if given, runs at the start of every engine tick with the
     live protocol state — the hook closed-loop load generators use to

@@ -1,5 +1,5 @@
 (* Workload generators for the heavy-traffic engine (DESIGN.md
-   "Batching, pipelining & group sharding"). Every draw flows through
+   "Batching & group sharding"). Every draw flows through
    the caller's seeded Rng, so a generated workload is a pure function
    of (topology, rate, skew, duration, seed): replay, shrinking and the
    trace-identity suites keep working on generated traffic exactly as

@@ -4,7 +4,7 @@
     generated workload is a pure function of its parameters and the
     seed — replay, shrinking and the trace-identity suites work on
     generated traffic exactly as on hand-written scenarios. See
-    DESIGN.md "Batching, pipelining & group sharding". *)
+    DESIGN.md "Batching & group sharding". *)
 
 val pick_group : Rng.t -> skew_pct:int -> Topology.t -> Topology.gid
 (** Key-skewed destination choice: group of rank [i] (0-based) has

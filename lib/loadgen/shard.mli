@@ -34,7 +34,6 @@ val run :
   ?horizon:int ->
   ?enablement_cache:bool ->
   ?batching:bool ->
-  ?pipelining:bool ->
   shard list ->
   Runner.outcome array
 (** Run every shard with the same seed and options, one {!Runner.run}

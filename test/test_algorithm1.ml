@@ -99,7 +99,7 @@ let genuineness_steps () =
         o.Runner.stats.Engine.steps.(p))
     [ 2; 3; 4; 5 ]
 
-let group_sequential_pipelining () =
+let group_sequential_serialization () =
   (* Many messages from different sources to one group: the Prop. 1
      wrapper serialises them; all get delivered. *)
   let topo = Topology.create ~n:3 [ Pset.range 3 ] in
@@ -351,7 +351,7 @@ let well_formed name (o : Runner.outcome) =
     o.Runner.workload
 
 (* Over the whole corpus, and over loadgen traffic with the batching
-   and pipelining modes on (crashes and channel delay included). *)
+   mode on (crashes and channel delay included). *)
 let trace_well_formed () =
   let corpus =
     List.map
@@ -372,8 +372,7 @@ let trace_well_formed () =
         in
         let fp = Failure_pattern.of_crashes ~n:(Topology.n topo) crashes in
         ( name,
-          Runner.run ~seed ~batching:true ~pipelining:true ~faults ~topo ~fp
-            ~workload () ))
+          Runner.run ~seed ~batching:true ~faults ~topo ~fp ~workload () ))
       [
         ("disjoint-6x2", Topology.disjoint ~groups:6 ~size:2, [], 250, 100,
          Channel_fault.none, 2);
@@ -394,7 +393,7 @@ let suite =
     t "singleton group" `Quick single_process_group;
     t "broadcast regime (one big group)" `Quick broadcast_regime;
     t "genuineness: zero steps if not addressed" `Quick genuineness_steps;
-    t "group-sequential pipelining" `Quick group_sequential_pipelining;
+    t "group-sequential serialization" `Quick group_sequential_serialization;
     t "phase machine (claim 14)" `Quick phase_machine;
     t "consensus instances bounded" `Quick consensus_keys;
     t "§6.1 strictness witness" `Quick vanilla_strict_violation_witness;

@@ -150,7 +150,7 @@ let closed_loop_drives_to_completion () =
   let s = Latency.summarize outcome in
   Alcotest.(check int) "all chain links delivered" 6 s.Latency.delivered;
   Alcotest.(check (result unit string))
-    "core spec holds" (Ok ()) (Properties.check_core outcome)
+    "spec holds" (Ok ()) (Properties.check_all outcome)
 
 let suite =
   [

@@ -1,14 +1,15 @@
 (* Trace/verdict-identity contract of the heavy-traffic engine
-   (DESIGN.md "Batching, pipelining & group sharding"):
+   (DESIGN.md "Batching & group sharding"):
 
    - Sharded runs are deterministic and pool-independent: running the
      shard plan at jobs=1 and jobs=4 yields bit-identical per-shard
      traces, identical engine statistics and byte-identical checker
      verdicts, and each shard's trace equals the plain sequential
      [Runner.run] of that shard's scenario.
-   - The batched+pipelined stepper still satisfies the core atomic
-     multicast spec ([Properties.core]) on every scenario of the sweep,
-     with the same (all-Ok) verdict vector as the default stepper.
+   - The batched stepper satisfies the full specification
+     ([Properties.all]) on every scenario of the sweep, crashes
+     included, with the same (all-Ok) verdict vector as the default
+     stepper.
 
    Scenarios come from the committed corpus (topology / crashes /
    workload; ablations and custom schedules are out of scope for the
@@ -54,7 +55,7 @@ let outcome_divergence (a : Runner.outcome) (b : Runner.outcome) =
       else if a.Runner.consensus_rounds <> b.Runner.consensus_rounds then
         Some "consensus round counts differ"
       else if
-        verdict_string (Properties.core a) <> verdict_string (Properties.core b)
+        verdict_string (Properties.all a) <> verdict_string (Properties.all b)
       then Some "checker verdicts differ"
       else None
 
@@ -62,9 +63,7 @@ let outcome_divergence (a : Runner.outcome) (b : Runner.outcome) =
 let shard_identity (name, topo, fp, workload, seed) =
   let shards = Shard.plan ~topo ~fp workload in
   if shards = [] then Alcotest.failf "%s: empty shard plan" name;
-  let run jobs =
-    Shard.run ~jobs ~seed ~batching:true ~pipelining:true shards
-  in
+  let run jobs = Shard.run ~jobs ~seed ~batching:true shards in
   let seq = run 1 and par = run 4 in
   List.iteri
     (fun i shard ->
@@ -74,7 +73,7 @@ let shard_identity (name, topo, fp, workload, seed) =
       (* the shard's pooled run is the plain sequential run of its
          renumbered scenario *)
       let direct =
-        Runner.run ~seed ~batching:true ~pipelining:true ~topo:shard.Shard.topo
+        Runner.run ~seed ~batching:true ~topo:shard.Shard.topo
           ~fp:shard.Shard.fp ~workload:shard.Shard.workload ()
       in
       match outcome_divergence seq.(i) direct with
@@ -82,22 +81,21 @@ let shard_identity (name, topo, fp, workload, seed) =
       | Some d -> Alcotest.failf "%s shard %d: pooled vs direct: %s" name i d)
     shards
 
-(* Mode safety on fault-free sweeps: every engine-mode combination
-   satisfies the core spec, so the cross-mode verdict vectors are
-   byte-identical (all Ok). *)
+(* Mode safety: the scalar and the batched stepper both satisfy the
+   full spec, so the cross-mode verdict vectors are byte-identical (all
+   Ok). *)
 let mode_verdicts (name, topo, fp, workload, seed) =
   let outcomes =
     List.map
-      (fun (batching, pipelining) ->
-        Runner.run ~seed ~batching ~pipelining ~topo ~fp ~workload ())
-      [ (false, false); (true, false); (false, true); (true, true) ]
+      (fun batching -> Runner.run ~seed ~batching ~topo ~fp ~workload ())
+      [ false; true ]
   in
-  let verdicts = List.map (fun o -> verdict_string (Properties.core o)) outcomes in
+  let verdicts = List.map (fun o -> verdict_string (Properties.all o)) outcomes in
   List.iteri
     (fun i o ->
-      match Properties.check_core o with
+      match Properties.check_all o with
       | Ok () -> ()
-      | Error e -> Alcotest.failf "%s mode %d violates core spec: %s" name i e)
+      | Error e -> Alcotest.failf "%s mode %d violates the spec: %s" name i e)
     outcomes;
   match verdicts with
   | v :: rest ->
@@ -153,28 +151,18 @@ let corpus_shard_identity () = List.iter shard_identity (corpus_scenarios ())
 let generated_shard_identity () =
   List.iter shard_identity (generated_scenarios ())
 
-let generated_mode_verdicts () =
-  List.iter mode_verdicts
-    (List.filter
-       (fun (_, _, fp, _, _) ->
-         (* crash-free sweep: with crashes the paper-exact waits can
-            legitimately leave termination open on some modes *)
-         Pset.is_empty (Failure_pattern.faulty fp))
-       (generated_scenarios ()))
+let generated_mode_verdicts () = List.iter mode_verdicts (generated_scenarios ())
 
 let batching_amortizes () =
-  (* On a contended ring burst the batched+pipelined stepper must decide
-     the same instances in no more consensus rounds and a strictly
-     smaller simulated makespan (invoke-to-last-delivery ticks).
+  (* On a contended ring burst the batched stepper must decide the same
+     instances in no more consensus rounds and a strictly smaller
+     simulated makespan (invoke-to-last-delivery ticks).
 
-     Note the round count itself does not shrink here: the pending gate
-     requires every earlier message to be Committed at the invoker
-     before the next enters Pending, so at most one message per
-     (process, group) is Pending at any moment and batch rounds are
-     singletons. The amortization the heavy-traffic engine buys is in
-     ticks-to-drain — draining enabled actions to fixpoint within a tick
-     collapses the per-tick round-trip, which is exactly what the
-     simulated-time throughput metric measures. *)
+     The round count itself does not shrink: a round is one proposal.
+     The amortization the heavy-traffic engine buys is in ticks-to-drain
+     — draining enabled actions to fixpoint within a tick collapses the
+     per-tick round-trip, which is exactly what the simulated-time
+     throughput metric measures. *)
   let topo = Topology.ring ~groups:3 in
   let rng = Rng.make 42 in
   let workload =
@@ -182,9 +170,7 @@ let batching_amortizes () =
   in
   let fp = Failure_pattern.never ~n:(Topology.n topo) in
   let plain = Runner.run ~topo ~fp ~workload () in
-  let batched =
-    Runner.run ~batching:true ~pipelining:true ~topo ~fp ~workload ()
-  in
+  let batched = Runner.run ~batching:true ~topo ~fp ~workload () in
   Alcotest.(check int)
     "same instances decided" plain.Runner.consensus_instances
     batched.Runner.consensus_instances;

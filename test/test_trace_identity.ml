@@ -5,16 +5,15 @@
    (per-process step counts, total executed, ticks, quiescence) as the
    reference stepper (enablement_cache:false), for every committed
    corpus scenario and for a fresh generated sweep, both sequentially
-   and under the domain pool. *)
+   and under the domain pool, and for the batched stepper on loadgen
+   traffic. *)
 
 let t = Alcotest.test_case
 
 let event_to_string e = Format.asprintf "%a" Trace.pp_event e
 
 (* None = identical; Some msg = first divergence, described. *)
-let divergence s =
-  let reference = Scenario.run ~enablement_cache:false s in
-  let optimized = Scenario.run s in
+let outcome_divergence reference optimized =
   let rt = reference.Runner.trace and ot = optimized.Runner.trace in
   let rs = reference.Runner.stats and os = optimized.Runner.stats in
   let rec first_diff i = function
@@ -51,6 +50,9 @@ let divergence s =
       then Some "consensus instance counts differ"
       else None
 
+let divergence s =
+  outcome_divergence (Scenario.run ~enablement_cache:false s) (Scenario.run s)
+
 let corpus_identity () =
   let entries = Corpus.load ~dir:"../corpus" in
   if List.length entries < 4 then
@@ -80,9 +82,41 @@ let fuzz_identity jobs () =
   let divergent = Array.to_list results |> List.filter_map Fun.id in
   Alcotest.(check (list string)) "divergent events" [] divergent
 
+(* The batched drain stepper under the same contract, over a contended
+   ring-6 with a crash (eight seeds) and the loadgen sweep of the
+   throughput identity suite. A drain whose first pass covered only the
+   cache-pruned candidates would fire an action enabled by an earlier
+   sweep one pass later with the cache on, reordering the tick. *)
+let batched_identity () =
+  let ring6 =
+    List.init 8 (fun i ->
+        let seed = i + 1 in
+        let topo = Topology.ring ~groups:6 in
+        let workload =
+          Loadgen.open_loop ~rng:(Rng.make (100 + seed)) ~rate_pct:300
+            ~skew_pct:0 ~duration:16 topo
+        in
+        let fp = Failure_pattern.of_crashes ~n:(Topology.n topo) [ (2, 5) ] in
+        (Printf.sprintf "ring-6-crash-s%d" seed, topo, fp, workload, seed))
+  in
+  let divergent =
+    List.filter_map
+      (fun (name, topo, fp, workload, seed) ->
+        let run enablement_cache =
+          Runner.run ~seed ~batching:true ~enablement_cache ~topo ~fp
+            ~workload ()
+        in
+        Option.map
+          (fun d -> name ^ ": " ^ d)
+          (outcome_divergence (run false) (run true)))
+      (ring6 @ Test_throughput_identity.generated_scenarios ())
+  in
+  Alcotest.(check (list string)) "divergent runs" [] divergent
+
 let suite =
   [
     t "corpus: optimized trace = reference trace" `Quick corpus_identity;
     t "fuzz sweep identical (jobs=1)" `Slow (fuzz_identity 1);
     t "fuzz sweep identical (jobs=4)" `Slow (fuzz_identity 4);
+    t "batched: cache on = cache off" `Quick batched_identity;
   ]
