@@ -6,7 +6,7 @@
    contended cyclic family, the batching regime) — crossed with arrival
    rates. Every case is executed twice: engine modes OFF (the seed
    stepper, one sequential run) and ON (batching + group-family
-   sharding over the domain pool).
+   sharding, [Shard.run ~jobs]).
 
    Throughput is measured in SIMULATED time: one tick is one simulated
    millisecond, and msgs/sec is completed deliveries over the makespan
@@ -127,7 +127,7 @@ let mode_result ~ns_per_run ~runs outcomes =
       List.for_all (fun o -> Result.is_ok (Properties.check_all o)) outcomes;
   }
 
-let measure ~quota_ms ~pool c =
+let measure ~quota_ms ~jobs c =
   let workload =
     Loadgen.open_loop ~rng:(Rng.make 1) ~rate_pct:c.rate_pct
       ~skew_pct:c.skew_pct ~duration:c.duration c.topo
@@ -138,7 +138,7 @@ let measure ~quota_ms ~pool c =
   let on_run () =
     (* planning is part of the pipeline, so it is timed too *)
     let shards = Shard.plan ~topo:c.topo ~fp workload in
-    Shard.run ~pool ~seed:1 ~batching:true shards
+    Shard.run ~jobs ~seed:1 ~batching:true shards
   in
   let off_o, off_s, off_runs = timed ~quota_ms off_run in
   let on_o, on_s, on_runs = timed ~quota_ms on_run in
@@ -152,11 +152,8 @@ let measure ~quota_ms ~pool c =
         (Array.to_list on_o);
   }
 
-(* One long-lived pool for the whole sweep: spawning domains per timed
-   run would charge spawn/join cost to every short-quota entry. *)
 let run_all ~quota_ms ~jobs ~smoke =
-  Domain_pool.with_pool ~jobs (fun pool ->
-      List.map (measure ~quota_ms ~pool) (cases ~smoke))
+  List.map (measure ~quota_ms ~jobs) (cases ~smoke)
 
 (* Simulated-time throughput: one tick is one simulated millisecond,
    so msgs/sec = delivered × 1000 / makespan-in-ticks. Deterministic —

@@ -620,8 +620,8 @@ let batch_arg =
     value & flag
     & info [ "batch" ]
         ~doc:
-          "Batched stepper: drain every enabled action to a fixpoint \
-           within the tick.")
+          "Batched scheduling: at its slot in a tick, each process takes \
+           actions until none is enabled, instead of one.")
 
 let bench_throughput topo crashes seed rate skew duration batch jobs =
   let* fp = failure_pattern topo crashes in
@@ -673,8 +673,9 @@ let bench_throughput_cmd =
          simulated millisecond) with latency percentiles. All numbers \
          are deterministic in the seed and identical for every \
          $(b,--jobs) value. Every shard is checked against the full \
-         specification. Compare $(b,--batch) against the default scalar \
-         stepper to see the drain stepper's makespan savings; \
+         specification. Compare $(b,--batch) against the default of one \
+         action per process per tick to see what draining each process \
+         to a fixpoint saves in makespan; \
          $(b,bench/throughput_scaling.ml) sweeps the committed grid.";
     ]
   in

@@ -84,35 +84,14 @@ type t = {
      false restores the seed stepper — the reference the
      trace-identity tests compare against. *)
   cache : bool;
-  (* Heavy-traffic engine mode (DESIGN.md "Batching & group
-     sharding"), default false, in which case the stepper is
-     bit-identical to the seed stepper. [batching]: a step drains every
-     enabled action of the process (one cascade pass per action kind,
-     repeated to a fixpoint). [rounds] counts commit rounds — the
-     consensus invocations a networked backend would make, one per
-     proposal. *)
-  batching : bool;
+  (* Commit rounds — the consensus invocations a networked backend
+     would make, one per proposal. *)
   mutable rounds : int;
   ver_group : int array;
   ver_proc : int array;
   fail_g : int array array;
   fail_p : int array array;
   fail_t : int array array;
-  (* Per-drain guard memo of the batched stepper. Within one drain the
-     process and tick are fixed, so every guard — including the γ- and
-     [req_at]-dependent ones the cross-tick cache must special-case —
-     is a pure function of the version counters: a failed attempt of
-     sweep [i] on message [m] cannot fire again until
-     [ver_group.(dst m)] or [ver_proc.(p)] moves. [att_stamp] holds the
-     drain id the failure was recorded in (stale drains never match),
-     [att_g]/[att_p] the counters it was recorded at. This is what
-     keeps the widened fixpoint passes from re-walking every log
-     prefix: a pass re-evaluates only the guards an earlier fire could
-     have flipped. *)
-  mutable drain : int;
-  att_stamp : int array array; (* att_*.(sweep).(m) *)
-  att_g : int array array;
-  att_p : int array array;
   (* Delivered is absorbing at p: no guard of (p, m) can fire again, so
      [step] drops finished messages from [relevant.(p)] — the candidate
      set every sweep and cache probe iterates. [del_seen] counts local
@@ -130,34 +109,6 @@ type t = {
      caches are exact. *)
   sent : bool array;
   stab_done : bool array array;
-  (* Cross-drain walk memo of the batched stepper, for the sweeps whose
-     guard is a log-prefix walk (slots: 0 deliver, 1 stabilize,
-     2 pending, 3 send). A failed walk records its first blocking
-     message in [wb_blk.(s).(p).(m)] and the destination group's
-     version counter in [wb_vg]; the sweep then skips the walk while
-     the counter is unchanged and the blocker's local rank is still
-     below the sweep's threshold. Sound because positions only grow
-     upward (appends land at the head, [bump_and_lock] only raises) and
-     every mutation of a (g, ·) log bumps [ver_group.(g)] — so the
-     recorded predecessor stays a predecessor — while the blocker's
-     rank at p is re-read directly on every probe. A failure on
-     versioned content alone (an unsent message, a fully-stabilized
-     sweep) is recorded as [att_blocked]. Unlike the per-drain memo
-     these entries survive across drains and ticks; they are what makes
-     the widened fixpoint passes and the re-drains of later ticks O(1)
-     per still-blocked message instead of O(prefix). *)
-  wb_blk : int array array array;
-  wb_vg : int array array array;
-  (* Per-group reposition counter: bumped (for every key group of the
-     touched logs) by the commit actions, the only source of
-     [Log.bump_and_lock] raises. Appends deliberately do NOT count: a
-     fresh entry lands at the head, strictly above every existing
-     datum, so it can never enter the recorded prefix of a blocked
-     walk — the walk verdict for (m, log) only moves through
-     repositions (tracked here) and local ranks (re-read on every
-     probe). This is what lets blocker-keyed memo entries survive the
-     append-heavy drains. *)
-  bump_ver : int array;
 }
 
 let touch_group st g = st.ver_group.(g) <- st.ver_group.(g) + 1
@@ -169,15 +120,6 @@ let touch_pair_logs st p g =
   touch_group st g;
   List.iter (fun h -> if h <> g then touch_group st h) st.groups_of.(p)
 
-(* A commit action at [p] on a g-bound message may raise positions in
-   every (g, h) log, h ∈ groups_of p; entries of those logs are g- or
-   h-bound, so both key groups' walk memos must see the reposition. *)
-let touch_bumps st p g =
-  st.bump_ver.(g) <- st.bump_ver.(g) + 1;
-  List.iter
-    (fun h -> if h <> g then st.bump_ver.(h) <- st.bump_ver.(h) + 1)
-    st.groups_of.(p)
-
 let log st g h =
   let g, h = if g <= h then (g, h) else (h, g) in
   match st.logs.(g).(h) with
@@ -188,8 +130,7 @@ let log st g h =
       l
 
 let create ?(variant = Vanilla) ?(enablement_cache = true)
-    ?(batching = false) ?(faults = Channel_fault.none) ?(fault_seed = 1) ~topo
-    ~mu ~workload () =
+    ?(faults = Channel_fault.none) ?(fault_seed = 1) ~topo ~mu ~workload () =
   let reqs = Array.of_list workload in
   let k = Array.length reqs in
   Array.iteri
@@ -244,24 +185,16 @@ let create ?(variant = Vanilla) ?(enablement_cache = true)
     events = [];
     seq = 0;
     cache = enablement_cache;
-    batching;
     rounds = 0;
     ver_group = Array.make (Topology.num_groups topo) 0;
     ver_proc = Array.make n 0;
     fail_g = Array.make_matrix n k (-1);
     fail_p = Array.make_matrix n k (-1);
     fail_t = Array.make_matrix n k (-1);
-    drain = 0;
-    att_stamp = Array.make_matrix 3 k 0;
-    att_g = Array.make_matrix 3 k (-1);
-    att_p = Array.make_matrix 3 k (-1);
     del_seen = Array.make n 0;
     del_pruned = Array.make n 0;
     sent = Array.make k false;
     stab_done = Array.make_matrix k (Topology.num_groups topo) false;
-    wb_blk = Array.init 4 (fun _ -> Array.make_matrix n k 0);
-    wb_vg = Array.init 4 (fun _ -> Array.make_matrix n k (-1));
-    bump_ver = Array.make (Topology.num_groups topo) 0;
   }
 
 let emit st ev =
@@ -279,34 +212,16 @@ let set_phase st p m ph time =
 
 let rank st p m = Trace.phase_rank st.phase.(p).(m)
 
-(* Outcome codes of the batched [attempt_*] guards, kept unboxed for
-   the hot sweeps: [att_fired] — the action executed; [att_blocked] —
-   the guard failed on group-versioned content alone (retry once
-   [ver_group] of the destination moves); [m' >= 0] — the guard failed
-   on a prefix walk, blocked by message [m'] (retry once m''s local
-   rank crosses the sweep's threshold, or on a content change);
-   [att_opaque] — failed with no recordable witness (re-evaluated every
-   pass). *)
-let att_fired = -2
-let att_blocked = -1
-let att_opaque = -3
-
-(* The first Msg entry strictly before [m] in the (g, h) log whose rank
-   at [p] is below [r] — the witness keeping the walk guard false — or
-   [-1] when the guard holds (trivially so when [m] is not in the log).
-   One allocation-free prefix walk of the incremental index, short-
-   circuiting at the witness. *)
-let walk_blocker st p g h m r =
+(* Whether every Msg entry strictly before [m] in the (g, h) log has
+   rank at least [r] at [p] (trivially so when [m] is not in the log).
+   One walk of the predecessors, short-circuiting at an entry below
+   [r]. *)
+let prefix_at_rank st p g h m r =
   let l = log st g h in
-  if not (Log.mem l (Msg m)) then -1
-  else
-    match
-      Log.first_before l (Msg m) (function
-        | Msg m' -> rank st p m' < r
-        | _ -> false)
-    with
-    | Some (Msg m') -> m'
-    | _ -> -1
+  (not (Log.mem l (Msg m)))
+  || Log.forall_before l (Msg m) (function
+       | Msg m' -> rank st p m' >= r
+       | _ -> true)
 
 (* γ(g) as seen at (p, t), per variant. *)
 let gamma_groups st p t g =
@@ -372,55 +287,51 @@ let try_list st p t m =
    in L_g has been delivered locally (helping included — any member of
    g may perform the append, preserving the ≺ invariant because the
    appender has delivered every predecessor). *)
-let attempt_send st p t m =
+let try_send st p t m =
   let msg = st.msgs.(m) in
   let g = msg.Amsg.dst in
-  if (not st.listed.(m)) || st.sent.(m) then att_blocked
-  else
-    let older =
-      (* messages listed before m in L_g: the tail after m's occurrence
-         in the newest-first shared list *)
-      let rec after_m = function
-        | [] -> []
-        | x :: rest -> if x = m then rest else after_m rest
-      in
-      after_m !(st.lists.(g))
-    in
-    if List.for_all (fun m' -> st.phase.(p).(m') = Trace.Delivered) older
-    then begin
-      ignore (Log.append (log st g g) (Msg m));
-      st.sent.(m) <- true;
-      touch_group st g;
-      emit st (fun seq -> Trace.Send { m; p; time = t; seq });
-      att_fired
-    end
-    else att_opaque (* local-phase-dependent: no group-versioned witness *)
-
-let try_send st p t m = attempt_send st p t m = att_fired
+  st.listed.(m)
+  && (not st.sent.(m))
+  && begin
+       let older =
+         (* messages listed before m in L_g: the tail after m's
+            occurrence in the newest-first shared list *)
+         let rec after_m = function
+           | [] -> []
+           | x :: rest -> if x = m then rest else after_m rest
+         in
+         after_m !(st.lists.(g))
+       in
+       List.for_all (fun m' -> st.phase.(p).(m') = Trace.Delivered) older
+     end
+  && begin
+       ignore (Log.append (log st g g) (Msg m));
+       st.sent.(m) <- true;
+       touch_group st g;
+       emit st (fun seq -> Trace.Send { m; p; time = t; seq });
+       true
+     end
 
 (* pending(m), lines 8–15. *)
-let attempt_pending st p t m =
+let try_pending st p t m =
   let g = st.msgs.(m).Amsg.dst in
-  if st.phase.(p).(m) <> Trace.Start then att_opaque
-  else if not st.sent.(m) then att_blocked
-  else
-    match walk_blocker st p g g m (Trace.phase_rank Trace.Commit) with
-    | b when b >= 0 -> b
-    | _ ->
-        let lg = log st g g in
-        List.iter
-          (fun h ->
-            let i = Log.append (log st g h) (Msg m) in
-            ignore (Log.append lg (Pend (m, h, i)));
-            if not (List.mem h st.pend_hs.(m)) then
-              st.pend_hs.(m) <- h :: st.pend_hs.(m);
-            if i > st.pend_k.(m) then st.pend_k.(m) <- i)
-          st.groups_of.(p);
-        touch_pair_logs st p g;
-        set_phase st p m Trace.Pending t;
-        att_fired
-
-let try_pending st p t m = attempt_pending st p t m = att_fired
+  st.phase.(p).(m) = Trace.Start
+  && st.sent.(m)
+  && prefix_at_rank st p g g m (Trace.phase_rank Trace.Commit)
+  && begin
+       let lg = log st g g in
+       List.iter
+         (fun h ->
+           let i = Log.append (log st g h) (Msg m) in
+           ignore (Log.append lg (Pend (m, h, i)));
+           if not (List.mem h st.pend_hs.(m)) then
+             st.pend_hs.(m) <- h :: st.pend_hs.(m);
+           if i > st.pend_k.(m) then st.pend_k.(m) <- i)
+         st.groups_of.(p);
+       touch_pair_logs st p g;
+       set_phase st p m Trace.Pending t;
+       true
+     end
 
 (* commit(m), lines 16–24. The guard waits for a recorded (m, h, i)
    tuple from every γ-group and proposes the highest such position —
@@ -438,64 +349,29 @@ let try_commit st p t m =
          (fun h -> Log.bump_and_lock (log st g h) (Msg m) k)
          st.groups_of.(p);
        touch_pair_logs st p g;
-       touch_bumps st p g;
        set_phase st p m Trace.Commit t;
        true
      end
 
 (* stabilize(m, h), lines 25–29.
 
-   Both steppers skip [h = g]: a [Stab (m, g)] tuple has no reader in
-   any variant — [try_stable]'s Vanilla arm ranges over the γ-groups
-   (which exclude [g]), Strict short-circuits [h = g], Pairwise never
-   reads [Stab] — so writing it only pollutes LOG_g and lengthens every
-   later predecessor walk over it. *)
-let fire_stabilize st g m h =
-  ignore (Log.append (log st g g) (Stab (m, h)));
-  st.stab_done.(m).(h) <- true;
-  touch_group st g
-
+   [step] skips [h = g]: a [Stab (m, g)] tuple has no reader in any
+   variant — [try_stable]'s Vanilla arm ranges over the γ-groups (which
+   exclude [g]), Strict short-circuits [h = g], Pairwise never reads
+   [Stab] — so writing it only pollutes LOG_g and lengthens every later
+   predecessor walk over it. *)
 let try_stabilize st p t m h =
   let g = st.msgs.(m).Amsg.dst in
   ignore t;
   st.phase.(p).(m) = Trace.Commit
   && (not st.stab_done.(m).(h))
-  && walk_blocker st p g h m (Trace.phase_rank Trace.Stable) < 0
+  && prefix_at_rank st p g h m (Trace.phase_rank Trace.Stable)
   && begin
-       fire_stabilize st g m h;
+       ignore (Log.append (log st g g) (Stab (m, h)));
+       st.stab_done.(m).(h) <- true;
+       touch_group st g;
        true
      end
-
-(* The batched stabilize sweep: every h ≠ g of p's groups at once ([p ∈
-   g ∩ h] holds for each — m is relevant to p, so p ∈ group g, and the
-   iteration ranges over p's own groups). When exactly one h is still
-   blocked (the rest already stabilized) its walk blocker is the
-   witness for the cross-drain memo; several blocked h's have no single
-   witness and stay [att_opaque]. On the overlap topologies of the
-   benchmarks a process sits in two groups, so the singleton case is
-   the common one. *)
-let attempt_stabilize st p t m =
-  ignore t;
-  let g = st.msgs.(m).Amsg.dst in
-  if st.phase.(p).(m) <> Trace.Commit then att_opaque
-  else begin
-    let fired = ref false and blocked = ref 0 and witness = ref att_blocked in
-    List.iter
-      (fun h ->
-        if h <> g && not st.stab_done.(m).(h) then
-          match walk_blocker st p g h m (Trace.phase_rank Trace.Stable) with
-          | b when b >= 0 ->
-              incr blocked;
-              witness := b
-          | _ ->
-              fire_stabilize st g m h;
-              fired := true)
-      st.groups_of.(p);
-    if !fired then att_fired
-    else if !blocked = 0 then att_blocked (* every h already stabilized *)
-    else if !blocked = 1 then !witness
-    else att_opaque
-  end
 
 (* stable(m), lines 30–33 (variant-dependent precondition, §6.1). *)
 let try_stable st p t m =
@@ -517,25 +393,18 @@ let try_stable st p t m =
        true
      end
 
-(* deliver(m), lines 34–37. The guard is a conjunction of walks over
-   p's pair logs; the first failing log's first blocker falsifies the
-   whole conjunction, so it is a sound single witness for the memo. *)
-let attempt_deliver st p t m =
+(* deliver(m), lines 34–37: a conjunction of walks over p's pair
+   logs. *)
+let try_deliver st p t m =
   let g = st.msgs.(m).Amsg.dst in
-  if st.phase.(p).(m) <> Trace.Stable then att_opaque
-  else
-    let rec check = function
-      | [] ->
-          set_phase st p m Trace.Delivered t;
-          att_fired
-      | h :: hs -> (
-          match walk_blocker st p g h m (Trace.phase_rank Trace.Delivered) with
-          | b when b >= 0 -> b
-          | _ -> check hs)
-    in
-    check st.groups_of.(p)
-
-let try_deliver st p t m = attempt_deliver st p t m = att_fired
+  st.phase.(p).(m) = Trace.Stable
+  && List.for_all
+       (fun h -> prefix_at_rank st p g h m (Trace.phase_rank Trace.Delivered))
+       st.groups_of.(p)
+  && begin
+       set_phase st p m Trace.Delivered t;
+       true
+     end
 
 (* Whether a failed attempt on (p, m) recorded at [fail_t] with the
    current version counters could evaluate differently at time [t]: a
@@ -582,103 +451,13 @@ let enabled st ~pid:p ~time:t =
   (not st.cache)
   || List.exists (fun m -> not (skippable st p t m)) st.relevant.(p)
 
-(* One batched cascade pass: attempt every action kind over every
-   candidate in the scalar stepper's priority order, executing ALL
-   enabled actions instead of the first. Returns whether anything
-   fired. Stabilize drains every (m, h) pair. *)
-let batch_pass st p t candidates =
-  let any = ref false in
-  (* The γ- and [t]-dependent sweeps (stable, commit, list) use the
-     per-drain memo, slots 0/1/2 of [att_*]; the walk sweeps use the
-     cross-drain [wb_*] memo instead. Every sweep
-     applies to exactly one phase of (p, m), so the phase is checked
-     before either memo probe — the common wrong-phase case costs one
-     array read. *)
-  let memo_eval i f m =
-    let cg = st.ver_group.(st.msgs.(m).Amsg.dst) and cp = st.ver_proc.(p) in
-    if
-      st.att_stamp.(i).(m) = st.drain
-      && st.att_g.(i).(m) = cg
-      && st.att_p.(i).(m) = cp
-    then ()
-    else if f m then any := true
-    else begin
-      st.att_stamp.(i).(m) <- st.drain;
-      st.att_g.(i).(m) <- cg;
-      st.att_p.(i).(m) <- cp
-    end
-  in
-  let run i ph f =
-    List.iter (fun m -> if st.phase.(p).(m) = ph then memo_eval i f m) candidates
-  in
-  (* Walk sweeps go through the cross-drain memo: probe the recorded
-     witness first, evaluate only when it no longer keeps the guard
-     false, and record the fresh outcome. [r] is the sweep's rank
-     threshold (unused for send, whose failures are content-keyed). *)
-  let run_walk s ph r attempt =
-    List.iter
-      (fun m ->
-        if st.phase.(p).(m) = ph then begin
-          let g = st.msgs.(m).Amsg.dst in
-          (* Content-keyed entries ([att_blocked]) watch [ver_group];
-             blocker entries only need the reposition counter — appends
-             cannot unblock a recorded walk. *)
-          let b = st.wb_blk.(s).(p).(m) in
-          let skip =
-            if b = att_blocked then st.wb_vg.(s).(p).(m) = st.ver_group.(g)
-            else
-              b >= 0
-              && st.wb_vg.(s).(p).(m) = st.bump_ver.(g)
-              && rank st p b < r
-          in
-          if not skip then begin
-            let res = attempt m in
-            if res = att_fired then any := true
-            else if res = att_blocked then begin
-              st.wb_vg.(s).(p).(m) <- st.ver_group.(g);
-              st.wb_blk.(s).(p).(m) <- att_blocked
-            end
-            else if res >= 0 then begin
-              st.wb_vg.(s).(p).(m) <- st.bump_ver.(g);
-              st.wb_blk.(s).(p).(m) <- res
-            end
-          end
-        end)
-      candidates
-  in
-  run_walk 0 Trace.Stable
-    (Trace.phase_rank Trace.Delivered)
-    (attempt_deliver st p t);
-  run 0 Trace.Commit (try_stable st p t);
-  run_walk 1 Trace.Commit
-    (Trace.phase_rank Trace.Stable)
-    (attempt_stabilize st p t);
-  (* Commit walks p's groups in [groups_of] order, which fixes the
-     event order within a pass. The pending gate admits at most one
-     Pending message per (process, group), so a group commits at most
-     one message per pass. *)
-  List.iter
-    (fun g ->
-      List.iter
-        (fun m ->
-          if st.msgs.(m).Amsg.dst = g && st.phase.(p).(m) = Trace.Pending then
-            memo_eval 1 (try_commit st p t) m)
-        candidates)
-    st.groups_of.(p);
-  run_walk 2 Trace.Start
-    (Trace.phase_rank Trace.Commit)
-    (attempt_pending st p t);
-  run_walk 3 Trace.Start 0 (attempt_send st p t);
-  run 2 Trace.Start (try_list st p t);
-  !any
-
 let step st ~pid:p ~time:t =
   prune_delivered st p;
-  (* The visibility gate applies in both stepper modes — it is part of
-     the semantics, not of the enablement cache (which merely subsumes
-     it via [skippable]). With [Channel_fault.none] both filters pass
-     everything through untouched, keeping fault-free runs bit-identical
-     to the pre-fault stepper. *)
+  (* The visibility gate is part of the semantics, not of the
+     enablement cache (which merely subsumes it via [skippable]). With
+     [Channel_fault.none] both filters pass everything through
+     untouched, keeping fault-free runs bit-identical to the pre-fault
+     stepper. *)
   let base =
     if Channel_fault.is_none st.faults then st.relevant.(p)
     else List.filter (fun m -> visible st p t m) st.relevant.(p)
@@ -690,53 +469,33 @@ let step st ~pid:p ~time:t =
   match live with
   | [] -> false
   | _ ->
+      let try_each f l = List.exists f l in
       let executed =
-        if st.batching then begin
-          (* Drain to a fixpoint. Every pass runs over the full visible
-             [base] — [live] only answers "anything to do?" — so the
-             event order within the tick is the same with the cache on
-             or off. The per-drain memo keeps the repeated passes
-             cheap. *)
-          st.drain <- st.drain + 1;
-          let rec drain fired =
-            if batch_pass st p t base then drain true else fired
-          in
-          drain false
-        end
-        else
-          let try_each f l = List.exists f l in
-          try_each (try_deliver st p t) live
-          || try_each (try_stable st p t) live
-          || try_each
-               (fun m ->
-                 let g = st.msgs.(m).Amsg.dst in
-                 st.phase.(p).(m) = Trace.Commit
-                 && try_each
-                      (fun h ->
-                        h <> g
-                        && Pset.mem p (Topology.inter st.topo g h)
-                        && try_stabilize st p t m h)
-                      st.groups_of.(p))
-               live
-          || try_each (try_commit st p t) live
-          || try_each (try_pending st p t) live
-          || try_each (try_send st p t) live
-          || try_each (try_list st p t) live
+        try_each (try_deliver st p t) live
+        || try_each (try_stable st p t) live
+        || try_each
+             (fun m ->
+               let g = st.msgs.(m).Amsg.dst in
+               st.phase.(p).(m) = Trace.Commit
+               && try_each
+                    (fun h ->
+                      h <> g
+                      && Pset.mem p (Topology.inter st.topo g h)
+                      && try_stabilize st p t m h)
+                    st.groups_of.(p))
+             live
+        || try_each (try_commit st p t) live
+        || try_each (try_pending st p t) live
+        || try_each (try_send st p t) live
+        || try_each (try_list st p t) live
       in
-      let record m =
-        st.fail_g.(p).(m) <- st.ver_group.(st.msgs.(m).Amsg.dst);
-        st.fail_p.(p).(m) <- st.ver_proc.(p);
-        st.fail_t.(p).(m) <- t
-      in
-      if st.cache then
-        if executed then begin
-          (* Batched drains end with a full pass that fired nothing:
-             that pass proved every visible candidate quiescent at the
-             current version counters, so the failure cursors may be
-             recorded exactly as after a failed scalar attempt. *)
-          if st.batching then List.iter record base
-        end
-        else List.iter record live;
+      if st.cache && not executed then
+        List.iter
+          (fun m ->
+            st.fail_g.(p).(m) <- st.ver_group.(st.msgs.(m).Amsg.dst);
+            st.fail_p.(p).(m) <- st.ver_proc.(p);
+            st.fail_t.(p).(m) <- t)
+          live;
       executed
 
 let trace st = Trace.make ~n:(Topology.n st.topo) (List.rev st.events)

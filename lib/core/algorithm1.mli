@@ -38,7 +38,6 @@ type t
 val create :
   ?variant:variant ->
   ?enablement_cache:bool ->
-  ?batching:bool ->
   ?faults:Channel_fault.spec ->
   ?fault_seed:int ->
   topo:Topology.t ->
@@ -47,13 +46,6 @@ val create :
   unit ->
   t
 (** Workload message ids must be [0 .. K-1].
-
-    [batching] (default [false]) turns on the heavy-traffic drain
-    stepper: a [step] executes {e every} enabled action of the process
-    (cascade passes to a fixpoint) instead of the first one. The
-    actions are the paper's, so batched runs satisfy the full
-    specification ([Properties.all]) — see DESIGN.md "Batching & group
-    sharding".
 
     [faults] (default {!Channel_fault.none}) injects channel faults
     into the one genuine inter-process communication of the Prop. 1
@@ -70,14 +62,17 @@ val create :
     version counters on log/list/phase mutations, so [step] skips
     messages whose guards cannot have changed since they last failed.
     The cache only prunes provably-disabled candidates, so traces are
-    bit-identical either way, with or without [batching]; [false]
-    recovers the reference stepper (used by the trace-identity
-    tests). *)
+    bit-identical either way, however many steps per tick the engine
+    takes; [false] recovers the reference stepper (used by the
+    trace-identity tests). *)
 
 val step : t -> pid:int -> time:int -> bool
-(** Execute at most one enabled action of process [pid] (with
-    [batching], every enabled action, drained to a fixpoint); returns
-    whether one was executed. Feed this to [Engine.run]. *)
+(** Execute at most one enabled action of process [pid]; returns
+    whether one was executed. Feed this to [Engine.run]: how many
+    actions a process takes per tick is the engine's choice
+    ([~steps_per_tick]), and [Engine.run ~steps_per_tick:max_int]
+    drains the process to a fixpoint at its slot — the batched mode of
+    {!Runner.run}. *)
 
 val enabled : t -> pid:int -> time:int -> bool
 (** Conservative enablement hint for [Engine.run]: [false] only when

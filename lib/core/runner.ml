@@ -24,7 +24,7 @@ let snapshot_of st =
   List.map (fun key -> (key, Algorithm1.log_snapshot st key)) (Algorithm1.log_keys st)
 
 let run ?(variant = Algorithm1.Vanilla) ?(seed = 1) ?horizon ?mu ?scheduled
-    ?enablement_cache ?batching ?driver ?(faults = Channel_fault.none)
+    ?enablement_cache ?(batching = false) ?driver ?(faults = Channel_fault.none)
     ?(record_snapshots = false) ~topo ~fp ~workload () =
   let mu = match mu with Some m -> m | None -> Mu.make ~seed topo fp in
   let horizon =
@@ -39,7 +39,7 @@ let run ?(variant = Algorithm1.Vanilla) ?(seed = 1) ?horizon ?mu ?scheduled
         + ((List.length workload + 1) * Channel_fault.latency_bound faults)
   in
   let st =
-    Algorithm1.create ~variant ?enablement_cache ?batching ~faults
+    Algorithm1.create ~variant ?enablement_cache ~faults
       ~fault_seed:seed ~topo ~mu ~workload ()
   in
   let snapshots = ref [] in
@@ -57,10 +57,14 @@ let run ?(variant = Algorithm1.Vanilla) ?(seed = 1) ?horizon ?mu ?scheduled
     | None -> max_at + Failure_pattern.max_crash_time fp + 30
     | Some _ -> horizon
   in
+  (* Batching is scheduling: the engine repeats the one stepper until
+     it finds nothing to do, draining each process to a fixpoint at its
+     slot. *)
+  let steps_per_tick = if batching then max_int else 1 in
   let stats =
     Engine.run ~fp ~horizon ~quiesce_after
       ~live_until:(fun () -> Algorithm1.visibility_horizon st)
-      ~seed ?scheduled ~on_tick
+      ~seed ?scheduled ~steps_per_tick ~on_tick
       ~enabled:(fun ~pid ~time -> Algorithm1.enabled st ~pid ~time)
       ~step:(Algorithm1.step st) ()
   in

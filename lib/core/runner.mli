@@ -53,9 +53,12 @@ val run :
     [true]) is forwarded to {!Algorithm1.create}; [false] runs the
     reference stepper, which produces the same trace, slower.
 
-    [batching] (default [false]) is forwarded to {!Algorithm1.create} —
-    the heavy-traffic drain stepper of DESIGN.md "Batching & group
-    sharding".
+    [batching] (default [false]) is the heavy-traffic mode of DESIGN.md
+    "Batching & group sharding": the engine calls {!Algorithm1.step}
+    again and again within a process's slot until it executes nothing
+    ([Engine.run ~steps_per_tick:max_int]), so every process drains its
+    enabled actions to a fixpoint each tick. The stepper and its
+    actions are the same in both modes; only the scheduling differs.
 
     [driver], if given, runs at the start of every engine tick with the
     live protocol state — the hook closed-loop load generators use to

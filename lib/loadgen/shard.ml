@@ -91,18 +91,13 @@ let plan ~topo ~fp workload =
       })
     labels
 
-let run ?jobs ?pool ?variant ?(seed = 1) ?horizon ?enablement_cache ?batching
+let run ?jobs ?variant ?(seed = 1) ?horizon ?enablement_cache ?batching
     shards =
   (* The worker closure captures only the immutable shard list (walked
      by index) and scalar options; every mutable cell of a run is
      created inside the worker, so the racecheck pass needs no
      suppression. *)
-  let n = List.length shards in
-  let go i =
-    let s = List.nth shards i in
-    Runner.run ?variant ~seed ?horizon ?enablement_cache ?batching ~topo:s.topo
-      ~fp:s.fp ~workload:s.workload ()
-  in
-  match pool with
-  | Some p -> Domain_pool.run p n go
-  | None -> Domain_pool.map ?jobs n go
+  Domain_pool.map ?jobs (List.length shards) (fun i ->
+      let s = List.nth shards i in
+      Runner.run ?variant ~seed ?horizon ?enablement_cache ?batching
+        ~topo:s.topo ~fp:s.fp ~workload:s.workload ())

@@ -28,7 +28,6 @@ val plan :
 
 val run :
   ?jobs:int ->
-  ?pool:Domain_pool.pool ->
   ?variant:Algorithm1.variant ->
   ?seed:int ->
   ?horizon:int ->
@@ -37,10 +36,7 @@ val run :
   shard list ->
   Runner.outcome array
 (** Run every shard with the same seed and options, one {!Runner.run}
-    per shard on a {!Domain_pool} of [jobs] workers (default
-    {!Domain_pool.default_jobs}); result [i] belongs to shard [i] of
-    the list. [jobs = 1] is the sequential reference the parallel runs
-    are bit-identical to. When [pool] is given it takes precedence over
-    [jobs]: the shards run on the caller's long-lived
-    {!Domain_pool.pool} (bench loops reuse one pool across iterations
-    so domain spawn cost never pollutes short-quota entries). *)
+    per shard on {!Domain_pool.map} with [jobs] workers (default [1]:
+    an in-process loop, no domain spawned); result [i] belongs to shard
+    [i] of the list. [jobs = 1] is the sequential reference the
+    parallel runs are bit-identical to. *)

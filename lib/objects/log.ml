@@ -13,8 +13,9 @@ type 'a entry = { mutable position : int; mutable is_locked : bool }
      directly instead of re-resolving each datum through [table].
    - [sorted] caches the ascending view; it is rebuilt lazily — one
      [List.rev] of [rev_index] — after a mutation invalidated it, so
-     between mutations the walks are O(visited) and incur no
-     allocation.
+     between mutations the ascending walks are O(visited) and incur no
+     allocation. The guard walk [forall_before] reads [rev_index]
+     directly and never needs the rebuild.
 
    The index relies on [compare] being the a-priori *total* order of
    the specification: distinct data never compare equal (the tie-break
@@ -128,21 +129,25 @@ let fold_before_exn name log d f init =
 
 let fold_before log d f init = fold_before_exn "Log.fold_before" log d f init
 
+(* The descending index needs no ascending rebuild after an append or
+   a bump, and a failing guard stops at the highest blocker below [d]
+   rather than the lowest: the entries above [d] are skipped, then
+   every remaining entry is a strict predecessor. *)
 let forall_before log d check =
   match Hashtbl.find_opt log.table d with
   | None -> invalid_arg "Log.forall_before: datum not in the log"
   | Some e ->
       let position = e.position in
-      let rec go = function
+      let rec above = function
         | [] -> true
-        | (d', e') :: rest ->
+        | ((d', e') :: rest) as l ->
             if
               e'.position < position
               || (e'.position = position && log.compare d' d < 0)
-            then check d' && go rest
-            else true
+            then List.for_all (fun (d', _) -> check d') l
+            else above rest
       in
-      go (sorted_index log)
+      above log.rev_index
 
 let first_before log d pred =
   match Hashtbl.find_opt log.table d with

@@ -59,16 +59,17 @@ val fold_before : 'a t -> 'a -> ('b -> 'a -> 'b) -> 'b -> 'b
 
 val forall_before : 'a t -> 'a -> ('a -> bool) -> bool
 (** [forall_before log d check]: does [check] hold on every strict
-    predecessor of [d]? Short-circuits at the first failure — the
-    early-exit [fold_before] for guards. Raises [Invalid_argument] if
-    [d] is absent. *)
+    predecessor of [d]? The guard walk: it visits the predecessors in
+    descending log order, so it never rebuilds the ascending view, and
+    short-circuits at the first failure. [check] must be pure. Raises
+    [Invalid_argument] if [d] is absent. *)
 
 val first_before : 'a t -> 'a -> ('a -> bool) -> 'a option
 (** [first_before log d pred]: the first (smallest in log order) strict
-    predecessor of [d] satisfying [pred], if any. Short-circuits like
-    {!forall_before} — the witness-returning variant used to name the
-    blocking entry of a failed guard walk. Raises [Invalid_argument] if
-    [d] is absent. *)
+    predecessor of [d] satisfying [pred], if any. It walks the
+    ascending view and stops at that entry: the witness-returning
+    counterpart of {!forall_before}, naming the lowest entry that keeps
+    a guard walk false. Raises [Invalid_argument] if [d] is absent. *)
 
 val fold_entries : 'a t -> ('b -> 'a -> 'b) -> 'b -> 'b
 (** Fold over all entries in ascending log order (allocation-free

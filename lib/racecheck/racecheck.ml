@@ -411,7 +411,7 @@ let suppressed regions rule (loc : Location.t) =
 (* ------------------------------------------------------------------ *)
 
 let entry_points =
-  [ "Domain_pool.map"; "Domain_pool.find_first"; "Domain_pool.run"; "Domain.spawn" ]
+  [ "Domain_pool.map"; "Domain_pool.find_first"; "Domain.spawn" ]
 
 type raw = { r_rule : string; r_loc : Location.t; r_msg : string }
 

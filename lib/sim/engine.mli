@@ -1,11 +1,12 @@
 (** Discrete-event execution of guarded-action algorithms.
 
     Time advances in ticks. At every tick the engine visits the
-    scheduled, not-yet-crashed processes in a seeded random order and
-    offers each one the chance to execute one action ([step] returns
-    whether it did). Crashes follow the failure pattern; a crashed
-    process is never scheduled again. Runs are deterministic functions
-    of the seed.
+    scheduled, not-yet-crashed processes in a seeded random order. At
+    its slot a process calls [step], which executes at most one action
+    and returns whether it did, until [step] returns [false] or the
+    process has taken [steps_per_tick] actions. Crashes follow the
+    failure pattern; a crashed process is never scheduled again. Runs
+    are deterministic functions of the seed.
 
     Fairness: with the default schedule every alive process is visited
     at every tick, which realises the fair runs of the paper's model.
@@ -48,7 +49,13 @@ val run :
     that tick. It must return [false] only when no action of [pid] can
     execute, so a skipped call would have returned [false] anyway. The
     per-tick RNG shuffle still covers the full scheduled set, so the
-    draw sequence — and hence the run — is unchanged by the hint. *)
+    draw sequence — and hence the run — is unchanged by the hint.
+
+    [steps_per_tick] (default [1]): the most actions a process takes at
+    its slot. [max_int] drains the process to a fixpoint, calling
+    [step] until it returns [false]; that is the batched mode of
+    [Runner.run ~batching:true]. Either way every [step] that returns
+    [true] counts as one action in {!stats}. *)
 
 val run_pinned :
   fp:Failure_pattern.t ->

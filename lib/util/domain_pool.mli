@@ -1,8 +1,9 @@
-(** A fixed pool of worker domains over an indexed work list.
+(** Worker domains over an indexed work list, spawned per call.
 
-    The pool runs [f 0 .. f (n-1)] on [jobs] worker domains pulling
-    chunks of indices from a shared queue, and collects the results in
-    index order, so callers observe exactly the sequential semantics:
+    Each call runs [f 0 .. f (n-1)] on [jobs] worker domains (the
+    calling domain is one of them) pulling chunks of indices from a
+    shared queue, joins them before it returns, and collects the
+    results in index order, so callers observe exactly the sequential semantics:
     the output of {!map} is the array a sequential loop would build,
     and {!find_first} returns the match a sequential scan would return
     first. A worker exception is captured with its backtrace and
@@ -38,40 +39,3 @@ val find_first : ?jobs:int -> ?chunk:int -> int -> (int -> 'b option) -> (int * 
     discarded. An exception raised at index [e] is re-raised only when
     no match exists at an index [< e] (the sequential scan would have
     stopped before reaching [e] otherwise). *)
-
-(** {1 Persistent pools}
-
-    A per-call {!map} spawns and joins its worker domains every time —
-    fine for one large batch, wasteful for callers that issue many
-    small batches (bench iterations running [Shard.run ~pool]). A
-    {!pool} keeps [jobs - 1] worker domains alive across batches; they
-    block on a condition variable between submissions, so an idle pool
-    consumes no CPU. *)
-
-type pool
-(** A fixed set of live worker domains plus the submitting domain. *)
-
-val create : jobs:int -> pool
-(** Spawn a pool of [jobs] workers (clamped to [1 .. 64]; the
-    submitting domain counts as one of them, so [jobs - 1] domains are
-    spawned). Must be released with {!shutdown}. *)
-
-val shutdown : pool -> unit
-(** Stop and join every worker. Idempotent; using the pool afterwards
-    raises [Invalid_argument]. *)
-
-val with_pool : ?jobs:int -> (pool -> 'a) -> 'a
-(** [with_pool ~jobs f] runs [f] with a fresh pool (default
-    {!default_jobs}) and shuts it down afterwards, also on exceptions. *)
-
-val pool_jobs : pool -> int
-(** The (clamped) worker count the pool was created with. *)
-
-val run : pool -> ?chunk:int -> int -> (int -> 'a) -> 'a array
-(** Exactly {!map} — same sequential semantics, chunking and
-    earliest-index exception contract — but executed on the pool's
-    live workers instead of freshly spawned domains. [jobs] is the
-    pool's size, further clamped by the batch size; with a pool of one
-    (or a batch of one) no other domain participates and the batch
-    runs as a plain in-process loop. Batches are serialized: [run] must
-    not be called concurrently from several domains on one pool. *)

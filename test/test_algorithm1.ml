@@ -304,7 +304,10 @@ let e2e_claims =
    the scenario: dense sequence numbers equal to the event index, pids
    in range, per-(p, m) phase ranks that never decrease, invocation
    before the first delivery, and deliveries only at destination
-   members. *)
+   members. Also: [Engine.stats] counts actions. Every action but
+   stabilize emits one event, and each stabilize appends one [Stab]
+   tuple, so the executed count is the events plus the final logs'
+   [Stab] entries. *)
 let event_fields = function
   | Trace.Invoke { m; p; seq; _ } -> (m, p, seq)
   | Trace.Send { m; p; seq; _ } -> (m, p, seq)
@@ -348,7 +351,20 @@ let well_formed name (o : Runner.outcome) =
           if m' = m && not (Pset.mem p members) then
             Alcotest.failf "%s: m%d delivered at non-member p%d" name m p)
         (Trace.deliveries trace))
-    o.Runner.workload
+    o.Runner.workload;
+  let stabs =
+    List.fold_left
+      (fun acc (_, entries) ->
+        List.fold_left
+          (fun acc (d, _, _) ->
+            match d with Algorithm1.Stab _ -> acc + 1 | _ -> acc)
+          acc entries)
+      0 o.Runner.final_logs
+  in
+  let events = List.length trace.Trace.events in
+  if o.Runner.stats.Engine.executed <> events + stabs then
+    Alcotest.failf "%s: executed %d, but %d events + %d Stab entries" name
+      o.Runner.stats.Engine.executed events stabs
 
 (* Over the whole corpus, and over loadgen traffic with the batching
    mode on (crashes and channel delay included). *)

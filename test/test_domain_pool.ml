@@ -5,50 +5,6 @@
 
 let t = Alcotest.test_case
 
-(* ---------------- persistent pool --------------------------------- *)
-
-let pool_run_matches_map () =
-  (* Many batches on one long-lived pool, including batches the
-     submitter drains alone (the late-worker claim race regression):
-     every batch must equal its map reference. *)
-  let f i = (i * 31) lxor (i lsr 2) in
-  Domain_pool.with_pool ~jobs:4 (fun pool ->
-      for batch = 0 to 49 do
-        let n = batch mod 7 in
-        (* tiny batches exercise the submitter-drains-all path *)
-        let expect = Domain_pool.map ~jobs:1 n f in
-        Alcotest.(check (array int))
-          (Printf.sprintf "batch %d (n=%d)" batch n)
-          expect
-          (Domain_pool.run pool n f)
-      done;
-      let expect = Domain_pool.map ~jobs:1 500 f in
-      for batch = 0 to 9 do
-        Alcotest.(check (array int))
-          (Printf.sprintf "large batch %d" batch)
-          expect
-          (Domain_pool.run pool 500 f)
-      done)
-
-let pool_run_raises_earliest_index () =
-  let f i = if i mod 50 = 3 then failwith (string_of_int i) else i in
-  Domain_pool.with_pool ~jobs:4 (fun pool ->
-      try
-        ignore (Domain_pool.run pool 200 f);
-        Alcotest.fail "no exception"
-      with Failure msg -> Alcotest.(check string) "earliest" "3" msg)
-
-let pool_shutdown_idempotent () =
-  let pool = Domain_pool.create ~jobs:3 in
-  ignore (Domain_pool.run pool 10 Fun.id);
-  Domain_pool.shutdown pool;
-  Domain_pool.shutdown pool;
-  (try
-     ignore (Domain_pool.run pool 10 Fun.id);
-     Alcotest.fail "run on a shut-down pool succeeded"
-   with Invalid_argument _ -> ());
-  Alcotest.(check int) "jobs preserved" 3 (Domain_pool.pool_jobs pool)
-
 (* ---------------- map --------------------------------------------- *)
 
 let map_matches_sequential () =
@@ -159,10 +115,6 @@ let rng_int_unbiased () =
 
 let suite =
   [
-    t "pool: run batches match map" `Quick pool_run_matches_map;
-    t "pool: earliest-index exception re-raised" `Quick
-      pool_run_raises_earliest_index;
-    t "pool: shutdown is idempotent and final" `Quick pool_shutdown_idempotent;
     t "map: ordered results match jobs=1" `Quick map_matches_sequential;
     t "map: empty and singleton inputs" `Quick map_degenerate_sizes;
     t "map: earliest-index exception re-raised" `Quick map_raises_earliest_index;

@@ -64,7 +64,8 @@ let log_laws =
         ops)
 
 (* The incremental sorted index stays equal to a from-scratch re-sort
-   after every operation, and the fold views agree with the lists. *)
+   after every operation, and the fold and walk views agree with the
+   lists. *)
 let log_index_matches_naive =
   QCheck.Test.make ~name:"log incremental index = naive re-sort" ~count:200
     QCheck.(small_list (pair (int_range 0 8) (int_range 0 10)))
@@ -90,9 +91,12 @@ let log_index_matches_naive =
           && List.for_all
                (fun d ->
                  let before = Log.before l d in
+                 let odd x = x mod 2 = 1 in
                  before = List.filter (fun d' -> d' <> d && Log.lt l d' d) naive
                  && List.rev (Log.fold_before l d (fun acc x -> x :: acc) [])
-                    = before)
+                    = before
+                 && Log.forall_before l d odd = List.for_all odd before
+                 && Log.first_before l d odd = List.find_opt odd before)
                naive)
         ops)
 

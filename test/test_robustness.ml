@@ -93,21 +93,39 @@ let adversarial_schedules =
       && Properties.ordering o = Ok ()
       && Properties.termination o = Ok ())
 
+(* Figure 1 with several actions per process per tick. [max_int] is
+   the engine drain, i.e. the batched mode: it must deliver everything
+   in no more ticks than 4 steps per tick, and [Runner.run ~batching]
+   must be exactly that engine run. *)
 let multiple_steps_per_tick () =
   let topo = Topology.figure1 in
   let fp = Failure_pattern.never ~n:5 in
   let workload = Workload.one_per_group topo in
-  let mu = Mu.make ~seed:1 topo fp in
-  let st = Algorithm1.create ~topo ~mu ~workload () in
-  let stats =
-    Engine.run ~fp ~horizon:300 ~quiesce_after:30 ~steps_per_tick:4
-      ~step:(Algorithm1.step st) ()
+  let run steps_per_tick =
+    let mu = Mu.make ~seed:1 topo fp in
+    let st = Algorithm1.create ~topo ~mu ~workload () in
+    let stats =
+      Engine.run ~fp ~horizon:300 ~quiesce_after:30 ~steps_per_tick
+        ~step:(Algorithm1.step st) ()
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "all delivered (%d steps per tick)" steps_per_tick)
+      10
+      (List.length (Trace.deliveries (Algorithm1.trace st)));
+    (stats, Algorithm1.trace st)
   in
+  let four, _ = run 4 in
   Alcotest.(check bool) "faster with batched steps" true
-    (stats.Engine.ticks_used < 40);
-  let tr = Algorithm1.trace st in
-  Alcotest.(check int) "all delivered" 10
-    (List.length (Trace.deliveries tr))
+    (four.Engine.ticks_used < 40);
+  let drained, drained_trace = run max_int in
+  if drained.Engine.ticks_used > four.Engine.ticks_used then
+    Alcotest.failf "drain took %d ticks, 4 steps per tick %d"
+      drained.Engine.ticks_used four.Engine.ticks_used;
+  let batched = Runner.run ~batching:true ~topo ~fp ~workload () in
+  Alcotest.(check bool) "Runner ~batching = engine drain: events" true
+    (batched.Runner.trace.Trace.events = drained_trace.Trace.events);
+  Alcotest.(check bool) "Runner ~batching = engine drain: stats" true
+    (batched.Runner.stats = drained)
 
 (* ---------------- variants, more topologies ------------------------ *)
 

@@ -6,10 +6,11 @@
      traces, identical engine statistics and byte-identical checker
      verdicts, and each shard's trace equals the plain sequential
      [Runner.run] of that shard's scenario.
-   - The batched stepper satisfies the full specification
-     ([Properties.all]) on every scenario of the sweep, crashes
-     included, with the same (all-Ok) verdict vector as the default
-     stepper.
+   - Batched runs — the one stepper drained to a fixpoint at every
+     process's slot by [Engine.run ~steps_per_tick:max_int] — satisfy
+     the full specification ([Properties.all]) on every scenario of the
+     sweep, crashes included, with the same (all-Ok) verdict vector as
+     the default one action per process per tick.
 
    Scenarios come from the committed corpus (topology / crashes /
    workload; ablations and custom schedules are out of scope for the
@@ -81,9 +82,8 @@ let shard_identity (name, topo, fp, workload, seed) =
       | Some d -> Alcotest.failf "%s shard %d: pooled vs direct: %s" name i d)
     shards
 
-(* Mode safety: the scalar and the batched stepper both satisfy the
-   full spec, so the cross-mode verdict vectors are byte-identical (all
-   Ok). *)
+(* Mode safety: scalar and batched runs both satisfy the full spec,
+   so the cross-mode verdict vectors are byte-identical (all Ok). *)
 let mode_verdicts (name, topo, fp, workload, seed) =
   let outcomes =
     List.map
@@ -154,7 +154,7 @@ let generated_shard_identity () =
 let generated_mode_verdicts () = List.iter mode_verdicts (generated_scenarios ())
 
 let batching_amortizes () =
-  (* On a contended ring burst the batched stepper must decide the same
+  (* On a contended ring burst the batched engine must decide the same
      instances in no more consensus rounds and a strictly smaller
      simulated makespan (invoke-to-last-delivery ticks).
 

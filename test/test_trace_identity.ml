@@ -5,8 +5,8 @@
    (per-process step counts, total executed, ticks, quiescence) as the
    reference stepper (enablement_cache:false), for every committed
    corpus scenario and for a fresh generated sweep, both sequentially
-   and under the domain pool, and for the batched stepper on loadgen
-   traffic. *)
+   and under the domain pool, and for batched runs (the engine draining
+   each process to a fixpoint) on loadgen traffic. *)
 
 let t = Alcotest.test_case
 
@@ -82,11 +82,12 @@ let fuzz_identity jobs () =
   let divergent = Array.to_list results |> List.filter_map Fun.id in
   Alcotest.(check (list string)) "divergent events" [] divergent
 
-(* The batched drain stepper under the same contract, over a contended
-   ring-6 with a crash (eight seeds) and the loadgen sweep of the
-   throughput identity suite. A drain whose first pass covered only the
-   cache-pruned candidates would fire an action enabled by an earlier
-   sweep one pass later with the cache on, reordering the tick. *)
+(* Batched runs under the same contract, over a contended ring-6 with a
+   crash (eight seeds) and the loadgen sweep of the throughput identity
+   suite. The engine calls [enabled] once per slot and then repeats
+   [step] until it returns false, so a cache that skipped a candidate
+   some earlier action of the same slot had enabled would reorder the
+   tick. *)
 let batched_identity () =
   let ring6 =
     List.init 8 (fun i ->
