@@ -4,173 +4,150 @@ let fail fmt = Format.kasprintf (fun s -> Error s) fmt
 
 let ( let* ) = Result.bind
 
-(* Fold a check over consecutive snapshot pairs (final state included). *)
-let consecutive outcome f =
-  let snaps =
-    List.map snd outcome.Runner.snapshots @ [ outcome.Runner.final_logs ]
-  in
-  let rec loop = function
-    | a :: (b :: _ as rest) ->
-        let* () = f a b in
-        loop rest
-    | _ -> Ok ()
-  in
-  loop snaps
-
-let log_assoc snap key = match List.assoc_opt key snap with Some l -> l | None -> []
-
-let entry_of snap key d =
-  List.find_opt (fun (d', _, _) -> d' = d) (log_assoc snap key)
-
 let compare_key (g, h) (g', h') =
   let c = Int.compare g g' in
   if c <> 0 then c else Int.compare h h'
 
-let keys_of a b =
-  List.sort_uniq compare_key (List.map fst a @ List.map fst b)
-
 let pp_d = Algorithm1.pp_datum
 
-let claim2 outcome =
-  consecutive outcome (fun a b ->
-      List.fold_left
-        (fun acc key ->
-          let* () = acc in
-          List.fold_left
-            (fun acc (d, _, _) ->
-              let* () = acc in
-              if entry_of b key d <> None then Ok ()
-              else fail "claim 2: %a vanished from a log" pp_d d)
-            (Ok ()) (log_assoc a key))
-        (Ok ()) (keys_of a b))
-
-let claim3 outcome =
-  consecutive outcome (fun a b ->
-      List.fold_left
-        (fun acc key ->
-          let* () = acc in
-          List.fold_left
-            (fun acc (d, pos, _) ->
-              let* () = acc in
-              match entry_of b key d with
-              | Some (_, pos', _) when pos' >= pos -> Ok ()
-              | Some _ -> fail "claim 3: position of %a decreased" pp_d d
-              | None -> Ok ())
-            (Ok ()) (log_assoc a key))
-        (Ok ()) (keys_of a b))
-
-let claim4 outcome =
-  consecutive outcome (fun a b ->
-      List.fold_left
-        (fun acc key ->
-          let* () = acc in
-          List.fold_left
-            (fun acc (d, _, locked) ->
-              let* () = acc in
-              if not locked then Ok ()
-              else
-                match entry_of b key d with
-                | Some (_, _, true) -> Ok ()
-                | _ -> fail "claim 4: %a was unlocked" pp_d d)
-            (Ok ()) (log_assoc a key))
-        (Ok ()) (keys_of a b))
-
-let claim5 outcome =
-  consecutive outcome (fun a b ->
-      List.fold_left
-        (fun acc key ->
-          let* () = acc in
-          List.fold_left
-            (fun acc (d, pos, locked) ->
-              let* () = acc in
-              if not locked then Ok ()
-              else
-                match entry_of b key d with
-                | Some (_, pos', _) when pos' = pos -> Ok ()
-                | _ -> fail "claim 5: locked %a moved" pp_d d)
-            (Ok ()) (log_assoc a key))
-        (Ok ()) (keys_of a b))
+let same d d' = Algorithm1.compare_datum d d' = 0
 
 (* d <_L d' over snapshot entries: by position, ties by the a-priori
    datum order (the implementation's Algorithm1.compare_datum). *)
 let snap_lt (d, pos, _) (d', pos', _) =
   pos < pos' || (pos = pos' && Algorithm1.compare_datum d d' < 0)
 
-let claim6 outcome =
-  consecutive outcome (fun a b ->
-      List.fold_left
-        (fun acc key ->
-          let* () = acc in
-          let la = log_assoc a key in
-          List.fold_left
-            (fun acc ((d, _, locked) as e) ->
-              let* () = acc in
-              if not locked then Ok ()
-              else
-                List.fold_left
-                  (fun acc ((d', _, _) as e') ->
-                    let* () = acc in
-                    if d = d' || not (snap_lt e e') then Ok ()
-                    else
-                      match (entry_of b key d, entry_of b key d') with
-                      | Some eb, Some eb' when snap_lt eb eb' -> Ok ()
-                      | Some _, Some _ ->
-                          fail "claim 6: order %a < %a flipped" pp_d d pp_d d'
-                      | _ -> Ok ())
-                  (Ok ()) la)
-            (Ok ()) la)
-        (Ok ()) (keys_of a b))
+type entry = Algorithm1.datum * int * bool
 
-let claim7 outcome =
-  consecutive outcome (fun a b ->
-      List.fold_left
-        (fun acc key ->
-          let* () = acc in
-          let la = log_assoc a key in
-          let lb = log_assoc b key in
-          (* d fresh in b; every datum locked in a must be below it. *)
-          List.fold_left
-            (fun acc ((d, _, _) as eb) ->
-              let* () = acc in
-              if entry_of a key d <> None then Ok ()
-              else
-                List.fold_left
-                  (fun acc (d', _, locked) ->
-                    let* () = acc in
-                    if not locked then Ok ()
-                    else
-                      match entry_of b key d' with
-                      | Some eb' when snap_lt eb' eb -> Ok ()
-                      | _ ->
-                          fail "claim 7: fresh %a below locked %a" pp_d d pp_d d')
-                  (Ok ()) la)
-            (Ok ()) lb)
-        (Ok ()) (keys_of a b))
+let equal_log =
+  List.equal (fun (d, pos, locked) (d', pos', locked') ->
+      same d d' && pos = pos' && Bool.equal locked locked')
 
-let claim8 outcome =
-  consecutive outcome (fun a b ->
-      List.fold_left
-        (fun acc key ->
-          let* () = acc in
-          List.fold_left
-            (fun acc ((d, _, locked) as ea) ->
-              let* () = acc in
-              if not locked then Ok ()
+(* One log in two consecutive snapshots [a] and [b]. [in_a] and [in_b]
+   look a datum up in either and return its first entry, as a scan of
+   the list would. *)
+type log_pair = {
+  la : entry list;
+  lb : entry list;
+  in_a : Algorithm1.datum -> entry option;
+  in_b : Algorithm1.datum -> entry option;
+}
+
+let index entries =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun ((d, _, _) as e) -> if not (Hashtbl.mem tbl d) then Hashtbl.add tbl d e)
+    entries;
+  Hashtbl.find_opt tbl
+
+(* [check] on each element in order, stopping at the first failure. *)
+let rec first l check =
+  match l with
+  | [] -> Ok ()
+  | e :: rest ->
+      let* () = check e in
+      first rest check
+
+(* Claims 2–8 on one log pair. Each scans the entries in list order
+   and reports the first that breaks its law. *)
+
+let law2 p =
+  first p.la (fun (d, _, _) ->
+      if Option.is_some (p.in_b d) then Ok ()
+      else fail "claim 2: %a vanished from a log" pp_d d)
+
+let law3 p =
+  first p.la (fun (d, pos, _) ->
+      match p.in_b d with
+      | Some (_, pos', _) when pos' < pos ->
+          fail "claim 3: position of %a decreased" pp_d d
+      | _ -> Ok ())
+
+let law4 p =
+  first p.la (fun (d, _, locked) ->
+      match p.in_b d with
+      | (Some (_, _, false) | None) when locked ->
+          fail "claim 4: %a was unlocked" pp_d d
+      | _ -> Ok ())
+
+let law5 p =
+  first p.la (fun (d, pos, locked) ->
+      match p.in_b d with
+      | Some (_, pos', _) when pos' = pos -> Ok ()
+      | _ when locked -> fail "claim 5: locked %a moved" pp_d d
+      | _ -> Ok ())
+
+let law6 p =
+  first p.la (fun ((d, _, locked) as e) ->
+      match p.in_b d with
+      | Some eb when locked ->
+          first p.la (fun ((d', _, _) as e') ->
+              if same d d' || not (snap_lt e e') then Ok ()
               else
-                let preds snap e =
-                  List.filter_map
-                    (fun ((d', _, _) as e') ->
-                      if d' <> d && snap_lt e' e then Some d' else None)
-                    (log_assoc snap key)
-                in
-                match entry_of b key d with
-                | None -> Ok ()
-                | Some eb ->
-                    let pa = preds a ea and pb = preds b eb in
-                    if List.for_all (fun d' -> List.mem d' pa) pb then Ok ()
-                    else fail "claim 8: locked %a gained a predecessor" pp_d d)
-            (Ok ()) (log_assoc a key))
-        (Ok ()) (keys_of a b))
+                match p.in_b d' with
+                | Some eb' when not (snap_lt eb eb') ->
+                    fail "claim 6: order %a < %a flipped" pp_d d pp_d d'
+                | _ -> Ok ())
+      | _ -> Ok ())
+
+(* d fresh in b; every datum locked in a must be below it. *)
+let law7 p =
+  first p.lb (fun ((d, _, _) as eb) ->
+      if Option.is_some (p.in_a d) then Ok ()
+      else
+        first p.la (fun (d', _, locked) ->
+            match p.in_b d' with
+            | Some eb' when snap_lt eb' eb -> Ok ()
+            | _ when locked ->
+                fail "claim 7: fresh %a below locked %a" pp_d d pp_d d'
+            | _ -> Ok ()))
+
+let law8 p =
+  first p.la (fun ((d, _, locked) as ea) ->
+      match p.in_b d with
+      | Some eb when locked ->
+          let was_below d' =
+            match p.in_a d' with Some ea' -> snap_lt ea' ea | None -> false
+          in
+          let gained ((d', _, _) as e') =
+            (not (same d d')) && snap_lt e' eb && not (was_below d')
+          in
+          if List.exists gained p.lb then
+            fail "claim 8: locked %a gained a predecessor" pp_d d
+          else Ok ()
+      | _ -> Ok ())
+
+let log_laws = [ law2; law3; law4; law5; law6; law7; law8 ]
+
+let log_assoc snap key = match List.assoc_opt key snap with Some l -> l | None -> []
+
+(* The one walk behind claims 2–8: consecutive snapshot pairs (final
+   state included), and within a pair every log key in sorted order.
+   A claim that has failed keeps its first witness and is not run
+   again. An unchanged log is skipped, since every law holds on it when
+   each datum appears once per log. *)
+let log_claims outcome =
+  let visit verdicts a b =
+    List.fold_left
+      (fun verdicts key ->
+        let la = log_assoc a key and lb = log_assoc b key in
+        if equal_log la lb then verdicts
+        else
+          let p = { la; lb; in_a = index la; in_b = index lb } in
+          List.map2
+            (fun law v -> if Result.is_ok v then law p else v)
+            log_laws verdicts)
+      verdicts
+      (List.sort_uniq compare_key (List.map fst a @ List.map fst b))
+  in
+  let rec walk verdicts = function
+    | a :: (b :: _ as rest) when List.exists Result.is_ok verdicts ->
+        walk (visit verdicts a b) rest
+    | _ -> verdicts
+  in
+  walk
+    (List.map (fun _ -> Ok ()) log_laws)
+    (List.map snd outcome.Runner.snapshots @ [ outcome.Runner.final_logs ])
 
 let claim9 outcome =
   let cx = Outcome_index.make outcome in
@@ -346,19 +323,15 @@ let claim15 outcome =
        (Ok ())
 
 let all outcome =
-  [
-    ("claim 2", claim2 outcome);
-    ("claim 3", claim3 outcome);
-    ("claim 4", claim4 outcome);
-    ("claim 5", claim5 outcome);
-    ("claim 6", claim6 outcome);
-    ("claim 7", claim7 outcome);
-    ("claim 8", claim8 outcome);
-    ("claim 9", claim9 outcome);
-    ("claim 10", claim10 outcome);
-    ("claim 11", claim11 outcome);
-    ("claim 12", claim12 outcome);
-    ("claim 13", claim13 outcome);
-    ("claim 14", claim14 outcome);
-    ("claim 15", claim15 outcome);
-  ]
+  List.mapi
+    (fun i v -> (Printf.sprintf "claim %d" (i + 2), v))
+    (log_claims outcome)
+  @ [
+      ("claim 9", claim9 outcome);
+      ("claim 10", claim10 outcome);
+      ("claim 11", claim11 outcome);
+      ("claim 12", claim12 outcome);
+      ("claim 13", claim13 outcome);
+      ("claim 14", claim14 outcome);
+      ("claim 15", claim15 outcome);
+    ]

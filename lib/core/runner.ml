@@ -24,7 +24,7 @@ let snapshot_of st =
   List.map (fun key -> (key, Algorithm1.log_snapshot st key)) (Algorithm1.log_keys st)
 
 let run ?(variant = Algorithm1.Vanilla) ?(seed = 1) ?horizon ?mu ?scheduled
-    ?enablement_cache ?(batching = false) ?driver ?(faults = Channel_fault.none)
+    ?enablement_cache ?(batching = false) ?(faults = Channel_fault.none)
     ?(record_snapshots = false) ~topo ~fp ~workload () =
   let mu = match mu with Some m -> m | None -> Mu.make ~seed topo fp in
   let horizon =
@@ -44,7 +44,6 @@ let run ?(variant = Algorithm1.Vanilla) ?(seed = 1) ?horizon ?mu ?scheduled
   in
   let snapshots = ref [] in
   let on_tick t =
-    (match driver with Some d -> d st ~time:t | None -> ());
     if record_snapshots then snapshots := (t, snapshot_of st) :: !snapshots
   in
   let max_at = List.fold_left (fun acc r -> max acc r.Workload.at) 0 workload in

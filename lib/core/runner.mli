@@ -38,7 +38,6 @@ val run :
   ?scheduled:(int -> Pset.t) ->
   ?enablement_cache:bool ->
   ?batching:bool ->
-  ?driver:(Algorithm1.t -> time:int -> unit) ->
   ?faults:Channel_fault.spec ->
   ?record_snapshots:bool ->
   topo:Topology.t ->
@@ -59,11 +58,6 @@ val run :
     ([Engine.run ~steps_per_tick:max_int]), so every process drains its
     enabled actions to a fixpoint each tick. The stepper and its
     actions are the same in both modes; only the scheduling differs.
-
-    [driver], if given, runs at the start of every engine tick with the
-    live protocol state — the hook closed-loop load generators use to
-    {!Algorithm1.release} the next request of a client chain once its
-    predecessor is delivered (see [Amcast_loadgen.closed_loop]).
 
     [faults] (default {!Channel_fault.none}) is forwarded to
     {!Algorithm1.create} with the run's [seed] as fault seed; the

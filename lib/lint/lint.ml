@@ -52,11 +52,14 @@ let rule_names = List.map fst rules
    [racecheck] because an analyzer that diverges across runs would make
    the @racecheck gate flaky; [loadgen] because generated workloads,
    shard plans and latency accounting feed the committed throughput
-   benchmark and its jobs-identity contract. *)
+   benchmark and its jobs-identity contract; [checker] because the
+   identity suites pin its verdict strings byte for byte, so the hash
+   tables of the Table 2 walk must never leak iteration order into a
+   witness. *)
 let strict_libs =
   [
     "sim"; "core"; "fuzz"; "net"; "objects"; "substrate"; "util"; "lint";
-    "explore"; "experiments"; "racecheck"; "loadgen";
+    "explore"; "experiments"; "racecheck"; "loadgen"; "checker";
   ]
 
 let segments file =

@@ -5,14 +5,6 @@
    multicast termination). All in simulated ticks — wall-clock never
    enters, so the numbers are bit-reproducible from the seed. *)
 
-type summary = {
-  delivered : int;
-  undelivered : int;
-  p50 : int option;
-  p99 : int option;
-  max : int option;
-}
-
 (* Nearest-rank percentile over unsorted samples: the value at rank
    ⌈q·n/100⌉ (1-based, floored at 1) of the sorted list. Total on
    q ∈ [0, 100] and n ≥ 1; [None] only on the empty list. *)
@@ -84,15 +76,3 @@ let span outcomes =
       (max_int, -1) outcomes
   in
   if hi < 0 || lo = max_int then 0 else hi - lo + 1
-
-let summarize outcome =
-  let invoked = List.length (Trace.invoked outcome.Runner.trace) in
-  let samples = samples outcome in
-  let delivered = List.length samples in
-  {
-    delivered;
-    undelivered = invoked - delivered;
-    p50 = percentile samples 50;
-    p99 = percentile samples 99;
-    max = percentile samples 100;
-  }

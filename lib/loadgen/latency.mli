@@ -7,16 +7,6 @@
     exists only when every correct member delivered (the completion
     criterion of termination). *)
 
-type summary = {
-  delivered : int;  (** messages with a complete delivery *)
-  undelivered : int;  (** invoked but not (completely) delivered *)
-  p50 : int option;
-  p99 : int option;
-  max : int option;
-      (** nearest-rank percentiles of the samples; [None] iff no
-          message completed *)
-}
-
 val percentile : int list -> int -> int option
 (** [percentile samples q] is the nearest-rank [q]-th percentile: the
     value at 1-based rank [⌈q·n/100⌉] (floored at 1) of the sorted
@@ -34,5 +24,3 @@ val span : Runner.outcome list -> int
     given outcomes, inclusive. Shards of one scenario share the global
     clock, so pass a sharded run's outcomes together (the makespan is
     their max, not their sum). [0] when nothing completed. *)
-
-val summarize : Runner.outcome -> summary

@@ -56,40 +56,3 @@ let open_loop ~rng ~rate_pct ~skew_pct ~duration topo =
     if Rng.int rng 100 < rate_pct mod 100 then push t
   done;
   List.rev !reqs
-
-let closed_loop ~rng ~clients ~msgs_per_client ~skew_pct topo =
-  if clients < 1 then invalid_arg "Loadgen.closed_loop: clients < 1";
-  if msgs_per_client < 1 then
-    invalid_arg "Loadgen.closed_loop: msgs_per_client < 1";
-  if skew_pct < 0 then invalid_arg "Loadgen.closed_loop: skew_pct < 0";
-  (* Chain c is messages [c * L .. c * L + L - 1]; only the head is
-     released up front, the rest start at [Workload.never] and are
-     released by the driver when the predecessor completes at its own
-     source — a zero-think-time closed loop. *)
-  let l = msgs_per_client in
-  let reqs = ref [] in
-  for c = 0 to clients - 1 do
-    for i = 0 to l - 1 do
-      let at = if i = 0 then 0 else Workload.never in
-      reqs := request topo rng ~skew_pct ~id:((c * l) + i) ~at :: !reqs
-    done
-  done;
-  let workload = List.rev !reqs in
-  let msgs = Array.of_list (Workload.messages workload) in
-  (* next.(c): first not-yet-released link of chain c (cursor, so a
-     driver tick is O(clients), not O(messages)). *)
-  let next = Array.make clients 1 in
-  let driver st ~time =
-    for c = 0 to clients - 1 do
-      let continue = ref true in
-      while !continue && next.(c) < l do
-        let prev = (c * l) + next.(c) - 1 in
-        if Algorithm1.delivered st ~pid:msgs.(prev).Amsg.src ~m:prev then begin
-          Algorithm1.release st ~m:((c * l) + next.(c)) ~time;
-          next.(c) <- next.(c) + 1
-        end
-        else continue := false
-      done
-    done
-  in
-  (workload, driver)

@@ -25,18 +25,3 @@ val open_loop :
     group (closed dissemination model). Message ids are [0 ..] in
     arrival order. Raises [Invalid_argument] if [rate_pct < 1],
     [skew_pct < 0] or [duration < 1]. *)
-
-val closed_loop :
-  rng:Rng.t ->
-  clients:int ->
-  msgs_per_client:int ->
-  skew_pct:int ->
-  Topology.t ->
-  Workload.t * (Algorithm1.t -> time:int -> unit)
-(** Closed-loop traffic: [clients] independent chains of
-    [msgs_per_client] messages each. Chain heads are released at tick
-    0; every later link starts at {!Workload.never} and is released by
-    the returned driver — pass it as {!Runner.run}'s [?driver] — once
-    its predecessor is delivered at the predecessor's own source
-    (zero think time). Message ids are chain-major:
-    [c * msgs_per_client + i]. *)

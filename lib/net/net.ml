@@ -8,20 +8,13 @@
 
 type 'm cell = { key : int; tie : int; src : int; payload : 'm }
 
-type 'm heap = { mutable cells : 'm cell array; mutable size : int; hint : int }
-
-(* [hint] is a capacity hint: the first push allocates that many slots
-   in one shot (the backing array cannot be preallocated eagerly — an
-   ['m cell] needs a payload value — so the hint is applied lazily).
-   Growth past the hint doubles as before. Capacity never affects the
-   heap order, so contents are bit-identical for any hint. *)
-let heap_make ~hint () = { cells = [||]; size = 0; hint }
+type 'm heap = { mutable cells : 'm cell array; mutable size : int }
 
 let cell_lt a b = a.key < b.key || (a.key = b.key && a.tie < b.tie)
 
 let heap_push h c =
   if h.size = Array.length h.cells then begin
-    let cap = if h.size = 0 then max 4 h.hint else 2 * h.size in
+    let cap = if h.size = 0 then 4 else 2 * h.size in
     let fresh = Array.make cap c in
     Array.blit h.cells 0 fresh 0 h.size;
     h.cells <- fresh
@@ -84,13 +77,12 @@ type 'm t = {
 (* Optionals before the labelled [~n] keep every existing
    [Net.create ~n] call site compiling unchanged; applying [~n] erases
    them, so warning 16 is noise here. *)
-let[@warning "-16"] create ?(faults = Channel_fault.none) ?(seed = 1)
-    ?(capacity = 0) ~n =
+let[@warning "-16"] create ?(faults = Channel_fault.none) ?(seed = 1) ~n =
   {
     n;
     spec = faults;
     seed;
-    heaps = Array.init n (fun _ -> heap_make ~hint:capacity ());
+    heaps = Array.init n (fun _ -> { cells = [||]; size = 0 });
     link_seq = Array.make n 0;
     tie = Array.make n 0;
     sent = 0;

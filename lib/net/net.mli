@@ -13,21 +13,15 @@
     (loss, duplication, extra delay and hence reordering) from a keyed
     stream that is a pure function of [(seed, src, dst, link-sequence
     number)] — independent of the receive schedule — so replayed runs
-    observe identical fault events. Wrap with {!Stubborn} to restore
+    observe identical fault events. A spec with [stubborn] set
+    retransmits every lost copy until one gets through, which restores
     reliable links on top of fair loss. *)
 
 type 'm t
 
-val create :
-  ?faults:Channel_fault.spec -> ?seed:int -> ?capacity:int -> n:int -> 'm t
+val create : ?faults:Channel_fault.spec -> ?seed:int -> n:int -> 'm t
 (** [faults] defaults to {!Channel_fault.none}; [seed] (default [1])
-    keys all fault draws. [capacity] (default [0]) is a per-destination
-    preallocation hint: the first push into a destination's heap
-    allocates [max 4 capacity] slots in one shot, after which growth
-    doubles as usual — heavy-traffic callers size it to the expected
-    in-flight load to avoid doubling churn. Purely an allocation hint:
-    buffer contents and receive order are bit-identical for any value
-    (pinned by the FIFO-identity micro test). *)
+    keys all fault draws. *)
 
 val send : 'm t -> src:int -> dst:int -> 'm -> unit
 (** Raises [Invalid_argument] with a descriptive message (naming the

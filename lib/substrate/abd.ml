@@ -36,9 +36,7 @@ let[@warning "-16"] create ?(faults = Channel_fault.none) ?(seed = 1) ~scope
   {
     scope;
     sigma;
-    (* each round exchanges with every scope member, so size the
-       per-destination buffers to one round-trip up front *)
-    net = Net.create ~faults ~seed ~capacity:(2 * n) ~n;
+    net = Net.create ~faults ~seed ~n;
     tags = Array.make n { ts = 0; w = -1 };
     values = Array.make n 0;
     ops = Hashtbl.create 16;

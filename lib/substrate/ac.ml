@@ -23,9 +23,7 @@ let[@warning "-16"] create ?(faults = Channel_fault.none) ?(seed = 1) ~scope
   {
     scope;
     sigma;
-    (* each round exchanges with every scope member, so size the
-       per-destination buffers to one round-trip up front *)
-    net = Net.create ~faults ~seed ~capacity:(2 * n) ~n;
+    net = Net.create ~faults ~seed ~n;
     nodes =
       Array.init n (fun _ ->
           { proposal = None; r1_seen = []; r2_seen = []; in_r2 = false; outcome = None });

@@ -45,9 +45,7 @@ let[@warning "-16"] create ?(faults = Channel_fault.none) ?(seed = 1) ~scope
     size = n;
     sigma;
     omega;
-    (* each round exchanges with every scope member, so size the
-       per-destination buffers to one round-trip up front *)
-    net = Net.create ~faults ~seed ~capacity:(2 * n) ~n;
+    net = Net.create ~faults ~seed ~n;
     nodes =
       Array.init n (fun _ ->
           {

@@ -75,6 +75,17 @@ let strict_regression () =
     [ ("lib/explore/explore.ml", 1, "poly-compare") ]
     (summarize diags);
   Alcotest.(check bool) "explore regression is an error" true
+    (Lint.has_errors diags);
+  (* lib/checker is graded strict: the identity suites pin its verdict
+     strings byte for byte, so no hash-table order may reach a witness. *)
+  let diags =
+    Lint.lint_string ~file:"lib/checker/claims.ml"
+      "let f t = Hashtbl.fold (fun k _ acc -> k :: acc) t []"
+  in
+  Alcotest.check triple "checker is strict"
+    [ ("lib/checker/claims.ml", 1, "hashtbl-order") ]
+    (summarize diags);
+  Alcotest.(check bool) "checker regression is an error" true
     (Lint.has_errors diags)
 
 let scope_map () =

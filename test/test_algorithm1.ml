@@ -364,7 +364,29 @@ let well_formed name (o : Runner.outcome) =
   let events = List.length trace.Trace.events in
   if o.Runner.stats.Engine.executed <> events + stabs then
     Alcotest.failf "%s: executed %d, but %d events + %d Stab entries" name
-      o.Runner.stats.Engine.executed events stabs
+      o.Runner.stats.Engine.executed events stabs;
+  (* Each datum at most once per log: the precondition under which the
+     Table 2 checker skips a log that two snapshots list alike. *)
+  List.iter
+    (fun (at, snap) ->
+      List.iter
+        (fun ((g, h), entries) ->
+          let data =
+            List.sort Algorithm1.compare_datum
+              (List.map (fun (d, _, _) -> d) entries)
+          in
+          let rec once = function
+            | d :: (d' :: _ as rest) ->
+                if Algorithm1.compare_datum d d' = 0 then
+                  Alcotest.failf "%s: %s: LOG_{g%d∩g%d} lists %a twice" name
+                    at g h Algorithm1.pp_datum d
+                else once rest
+            | _ -> ()
+          in
+          once data)
+        snap)
+    (List.map (fun (t, s) -> (Printf.sprintf "tick %d" t, s)) o.Runner.snapshots
+    @ [ ("final state", o.Runner.final_logs) ])
 
 (* Over the whole corpus, and over loadgen traffic with the batching
    mode on (crashes and channel delay included). *)
@@ -373,7 +395,7 @@ let trace_well_formed () =
     List.map
       (fun (name, decoded) ->
         match decoded with
-        | Ok s -> (name, Scenario.run s)
+        | Ok s -> (name, Scenario.run ~record_snapshots:true s)
         | Error e -> Alcotest.failf "%s does not decode: %s" name e)
       (Corpus.load ~dir:"../corpus")
   in
@@ -388,7 +410,8 @@ let trace_well_formed () =
         in
         let fp = Failure_pattern.of_crashes ~n:(Topology.n topo) crashes in
         ( name,
-          Runner.run ~seed ~batching:true ~faults ~topo ~fp ~workload () ))
+          Runner.run ~seed ~batching:true ~faults ~record_snapshots:true ~topo
+            ~fp ~workload () ))
       [
         ("disjoint-6x2", Topology.disjoint ~groups:6 ~size:2, [], 250, 100,
          Channel_fault.none, 2);

@@ -114,6 +114,77 @@ let accepts_good_run () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+(* Claims 2–8 on two-snapshot outcomes: one row per claim, each the
+   smallest break of that law of LOG_{g0}, and the exact failures that
+   Claims.all reports. Claims 6–8 cannot fail alone. An order below a
+   locked datum flips only if a position falls (3) or the locked datum
+   moves (5), and the other datum then becomes a new predecessor (8).
+   A fresh datum below a locked one is a new predecessor too. *)
+let detects_log_claims () =
+  let m0 = Algorithm1.Msg 0 and p = Algorithm1.Pend (0, 0, 1) in
+  let rows =
+    [
+      ( "claim 2",
+        [ (m0, 1, false) ],
+        [],
+        [ ("claim 2", "m0 vanished from a log") ] );
+      ( "claim 3",
+        [ (m0, 2, false) ],
+        [ (m0, 1, false) ],
+        [ ("claim 3", "position of m0 decreased") ] );
+      ( "claim 4",
+        [ (m0, 1, true) ],
+        [ (m0, 1, false) ],
+        [ ("claim 4", "m0 was unlocked") ] );
+      ( "claim 5",
+        [ (m0, 1, true) ],
+        [ (m0, 2, true) ],
+        [ ("claim 5", "locked m0 moved") ] );
+      ( "claim 6",
+        [ (m0, 1, true); (p, 2, false) ],
+        [ (p, 2, false); (m0, 3, true) ],
+        [
+          ("claim 5", "locked m0 moved");
+          ("claim 6", "order m0 < (m0,g0,1) flipped");
+          ("claim 8", "locked m0 gained a predecessor");
+        ] );
+      ( "claim 7",
+        [ (m0, 2, true) ],
+        [ (p, 1, false); (m0, 2, true) ],
+        [
+          ("claim 7", "fresh (m0,g0,1) below locked m0");
+          ("claim 8", "locked m0 gained a predecessor");
+        ] );
+      ( "claim 8",
+        [ (m0, 2, true); (p, 3, false) ],
+        [ (p, 1, false); (m0, 2, true) ],
+        [
+          ("claim 3", "position of (m0,g0,1) decreased");
+          ("claim 6", "order m0 < (m0,g0,1) flipped");
+          ("claim 8", "locked m0 gained a predecessor");
+        ] );
+    ]
+  in
+  List.iter
+    (fun (row, a, b, expected) ->
+      let o =
+        {
+          (outcome_of_events []) with
+          Runner.snapshots = [ (0, [ ((0, 0), a) ]) ];
+          final_logs = [ ((0, 0), b) ];
+        }
+      in
+      let failures =
+        List.filter_map
+          (function name, Error e -> Some (name, e) | _, Ok () -> None)
+          (Claims.all o)
+      in
+      Alcotest.(check (list (pair string string)))
+        row
+        (List.map (fun (c, msg) -> (c, c ^ ": " ^ msg)) expected)
+        failures)
+    rows
+
 let suite =
   [
     t "detects double delivery" `Quick detects_double_delivery;
@@ -125,4 +196,5 @@ let suite =
     t "detects non-minimality" `Quick detects_non_minimality;
     t "cycle finder" `Quick find_cycle_works;
     t "accepts a correct run" `Quick accepts_good_run;
+    t "detects breaks of log claims 2–8" `Quick detects_log_claims;
   ]

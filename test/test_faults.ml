@@ -1,4 +1,4 @@
-(* The channel-fault layer: the Net/Stubborn buffer, fault scenarios,
+(* The channel-fault layer: the Net buffer, fault scenarios,
    replay determinism, the shrinker's fault moves, and the hardening
    fixes (atomic corpus saves, descriptive Net range errors). *)
 
@@ -43,7 +43,7 @@ let spec_codec_rejects () =
 
 (* Applying every parameter at once erases the optionals, so test
    sites don't need ?faults:None noise. *)
-let make_net ?faults ?seed ?capacity n = Net.create ?faults ?seed ?capacity ~n
+let make_net ?faults ?seed n = Net.create ?faults ?seed ~n
 
 let drain net pid =
   let rec go acc =
@@ -60,26 +60,6 @@ let net_fifo_without_faults () =
     "FIFO per destination, sends preserved"
     (List.init 10 (fun i -> (i mod 2, i)))
     (drain net 2)
-
-let net_capacity_hint_identical () =
-  (* The per-destination preallocation hint is allocation-only: any
-     capacity yields bit-identical receive sequences, fault-free (the
-     zero-fault FIFO contract) and under a reordering spec alike. *)
-  let sends = List.init 40 (fun i -> (i mod 3, (i * 5) mod 4, i * 11)) in
-  let observe net =
-    List.iter (fun (src, dst, p) -> Net.send net ~src ~dst p) sends;
-    List.concat_map (drain net) [ 0; 1; 2; 3 ]
-  in
-  let reference = observe (make_net 4) in
-  Alcotest.(check (list (pair int int)))
-    "zero-fault FIFO unchanged by preallocation"
-    reference
-    (observe (make_net ~capacity:64 4));
-  let delayed = { Channel_fault.none with Channel_fault.delay = 3 } in
-  Alcotest.(check (list (pair int int)))
-    "delayed-spec order unchanged by preallocation"
-    (observe (make_net ~faults:delayed ~seed:9 4))
-    (observe (make_net ~faults:delayed ~seed:9 ~capacity:1024 4))
 
 let net_zero_spec_identical () =
   (* A spec that cannot affect any transmission (the stubborn flag
@@ -145,24 +125,19 @@ let net_fair_loss_loses () =
     (List.length (drain net 1) > 0)
 
 let stubborn_delivers_everything () =
-  let faults = { Channel_fault.drop = 8_000; dup = 0; delay = 2; stubborn = false } in
-  let net = Stubborn.create ~faults ~seed:5 ?capacity:None ~n:2 in
+  let faults = { Channel_fault.drop = 8_000; dup = 0; delay = 2; stubborn = true } in
+  let net = make_net ~faults ~seed:5 2 in
   for i = 0 to 49 do
-    Stubborn.send net ~src:0 ~dst:1 i
+    Net.send net ~src:0 ~dst:1 i
   done;
-  let rec go acc =
-    match Stubborn.receive net 1 with
-    | Some (_, p) -> go (p :: acc)
-    | None -> List.rev acc
-  in
-  let got = go [] in
+  let got = List.map snd (drain net 1) in
   Alcotest.(check (list int))
     "every transmission delivered exactly once" (List.init 50 Fun.id)
     (List.sort Int.compare got);
   Alcotest.(check bool) "retransmissions counted" true
-    (Stubborn.retransmissions net > 0);
+    ((Net.stats net).Channel_fault.retransmissions > 0);
   Alcotest.(check int) "nothing lost under stubborn links" 0
-    (Stubborn.stats net).Channel_fault.lost
+    (Net.stats net).Channel_fault.lost
 
 let contains_sub s sub =
   let re = Str.regexp_string sub in
@@ -389,7 +364,6 @@ let suite =
     t "channel-fault codec rejects garbage" `Quick spec_codec_rejects;
     t "net: FIFO without faults" `Quick net_fifo_without_faults;
     t "net: inert spec is bit-identical" `Quick net_zero_spec_identical;
-    t "net: capacity hint is bit-identical" `Quick net_capacity_hint_identical;
     t "net: delay-only spec loses nothing" `Quick net_delay_only_loses_nothing;
     t "net: fault draws replay identically" `Quick net_fault_draws_deterministic;
     t "net: fair loss loses messages" `Quick net_fair_loss_loses;

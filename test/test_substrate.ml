@@ -6,7 +6,7 @@ let drive ?(horizon = 4000) ?(quiesce_after = 40) fp step =
 (* ---------------- net ---------------------------------------------- *)
 
 let net_fifo () =
-  let net = Net.create ?faults:None ?seed:None ?capacity:None ~n:2 in
+  let net = Net.create ?faults:None ?seed:None ~n:2 in
   Net.send net ~src:0 ~dst:1 "a";
   Net.send net ~src:0 ~dst:1 "b";
   Alcotest.(check int) "pending" 2 (Net.pending net 1);
