@@ -7,7 +7,9 @@
    (Properties_ref.all — per-probe list scans) and with the indexed
    checker (Properties.all). The [claims-] cases do the same for
    Table 2 (Claims_ref.all against Claims.all) on runs with per-tick
-   snapshots recorded. The indexed side is timed on a fresh trace every
+   snapshots recorded, and the [strict-] cases run the Strict variant,
+   so that its [strict_ordering] is timed too; every other case runs
+   Vanilla. The indexed side is timed on a fresh trace every
    run so the lazily-built Trace index is rebuilt inside the measured
    region — the speedup column is end-to-end, not amortized. Each case
    also records whether the two checkers agreed verdict-for-verdict;
@@ -21,10 +23,16 @@ type case = {
   name : string;
   topo : Topology.t;
   workload : Workload.t;
+  variant : Algorithm1.variant;
   claims : bool;  (** Table 2 instead of the multicast properties *)
 }
 
-let mk_case ~claims shape groups k =
+let variant_name = function
+  | Algorithm1.Vanilla -> "vanilla"
+  | Algorithm1.Strict -> "strict"
+  | Algorithm1.Pairwise -> "pairwise"
+
+let mk_case ?(variant = Algorithm1.Vanilla) ~claims shape groups k =
   let topo, label =
     match shape with
     | `Disjoint ->
@@ -32,10 +40,18 @@ let mk_case ~claims shape groups k =
           Printf.sprintf "disjoint-%dx3" groups )
     | `Ring -> (Topology.ring ~groups, Printf.sprintf "ring-%d" groups)
   in
+  let prefix =
+    if claims then "claims-"
+    else
+      match variant with
+      | Algorithm1.Vanilla -> ""
+      | v -> variant_name v ^ "-"
+  in
   {
-    name = Printf.sprintf "%s%s-K%d" (if claims then "claims-" else "") label k;
+    name = Printf.sprintf "%s%s-K%d" prefix label k;
     topo;
     workload = Scaling.workload_k ~per_group:k topo;
+    variant;
     claims;
   }
 
@@ -43,7 +59,10 @@ let mk_case ~claims shape groups k =
    scan per probe, so the full grid tops out lower than scaling.ml's:
    disjoint-16x3-K16 (256 messages) already takes seconds per
    reference check. The reference claims 2–8 rescan every log of every
-   snapshot pair, so the Table 2 rows stay at K = 4. *)
+   snapshot pair, so the Table 2 rows stay at K = 4. The reference
+   strict ordering searches ↦ ∪ ↝, whose ↝ half relates almost every
+   ordered pair of a failure-free run: strict-ring-12-K16 took 0.9 s
+   per reference check, so the strict rows stop below it. *)
 let cases ~smoke =
   let disjoint = if smoke then [ 4 ] else [ 4; 8; 16 ] in
   let rings = if smoke then [ 6 ] else [ 6; 12 ] in
@@ -52,9 +71,14 @@ let cases ~smoke =
     if smoke then [ (`Ring, 6) ]
     else [ (`Disjoint, 4); (`Disjoint, 8); (`Ring, 6); (`Ring, 12) ]
   in
+  let strict = if smoke then [ (6, 4) ] else [ (6, 16); (12, 4) ] in
   let grid shape g = List.map (mk_case ~claims:false shape g) ks in
   List.concat_map (grid `Disjoint) disjoint
   @ List.concat_map (grid `Ring) rings
+  @ List.map
+      (fun (g, k) ->
+        mk_case ~variant:Algorithm1.Strict ~claims:false `Ring g k)
+      strict
   @ List.map (fun (shape, g) -> mk_case ~claims:true shape g 4) claims
 
 type result = {
@@ -80,8 +104,8 @@ let render verdicts =
 let measure ~quota_ms c =
   let fp = Failure_pattern.never ~n:(Topology.n c.topo) in
   let o =
-    Runner.run ~seed:1 ~record_snapshots:c.claims ~topo:c.topo ~fp
-      ~workload:c.workload ()
+    Runner.run ~variant:c.variant ~seed:1 ~record_snapshots:c.claims
+      ~topo:c.topo ~fp ~workload:c.workload ()
   in
   let reference, indexed =
     if c.claims then (Claims_ref.all, Claims.all)
@@ -161,11 +185,12 @@ let json_trajectory ~label ~quota_ms results =
     (fun i r ->
       if i > 0 then Buffer.add_string b ",\n";
       Printf.bprintf b
-        "    { \"name\": \"%s\", \"n\": %d, \"groups\": %d, \"msgs\": %d,\n\
-        \      \"events\": %d, \"ref_ns_per_check\": %.1f, \"ns_per_check\": %.1f,\n\
-        \      \"speedup\": %.2f, \"ref_runs\": %d, \"runs\": %d,\n\
-        \      \"verdicts_equal\": %b }"
+        "    { \"name\": \"%s\", \"variant\": \"%s\", \"n\": %d, \"groups\": %d,\n\
+        \      \"msgs\": %d, \"events\": %d, \"ref_ns_per_check\": %.1f,\n\
+        \      \"ns_per_check\": %.1f, \"speedup\": %.2f, \"ref_runs\": %d,\n\
+        \      \"runs\": %d, \"verdicts_equal\": %b }"
         (Scaling.json_escape r.case.name)
+        (variant_name r.case.variant)
         (Topology.n r.case.topo)
         (Topology.num_groups r.case.topo)
         (List.length r.case.workload)

@@ -162,12 +162,132 @@ let find_cycle edges =
     None
   with Found c -> Some c
 
+(* [(seq, m)] pairs gathered newest first from an event-list order,
+   returned oldest first by seq. A recorded trace lists its events in
+   seq order, so only a hand-built one pays the sort. *)
+let by_seq rev_pairs =
+  let rec descending = function
+    | (s, _) :: ((s', _) :: _ as rest) -> s >= s' && descending rest
+    | _ -> true
+  in
+  if descending rev_pairs then List.rev rev_pairs
+  else List.stable_sort (fun (s, _) (s', _) -> Int.compare s s') rev_pairs
+
+(* The first index of the seq-ascending [points] invoked after [d]. *)
+let first_after points d =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if fst points.(mid) > d then go lo mid else go (mid + 1) hi
+  in
+  go 0 (Array.length points)
+
+(* A graph with a path for every edge of ↦ (and of ↝ when [strict]),
+   as successor lists: vertex m is message m, and vertex [bound + k] is
+   the k-th invocation point in seq order. At each process, every
+   delivery points at the next one, and the last at every addressed
+   message never delivered there. Each point points at its message and
+   at the next point, and each delivered message at the first point
+   invoked after its first delivery. See DESIGN.md "Ordering by
+   chains". *)
+let chain_graph cx ~strict =
+  let outcome = Cx.outcome cx in
+  let tr = outcome.Runner.trace in
+  let b = Cx.bound cx in
+  let n = Topology.n outcome.Runner.topo in
+  let points =
+    if not strict then [||]
+    else
+      List.fold_left
+        (fun acc m ->
+          match Trace.invoke_seq tr ~m with
+          | Some i when Cx.known cx m -> (i, m) :: acc
+          | _ -> acc)
+        [] (Trace.invoked tr)
+      |> by_seq |> Array.of_list
+  in
+  let np = Array.length points in
+  let succ = Array.make (b + np) [] in
+  let edge u v = succ.(u) <- v :: succ.(u) in
+  let last = Array.make n (-1) and seen = Array.make b (-1) in
+  for p = 0 to n - 1 do
+    let dels =
+      List.fold_left
+        (fun acc m ->
+          if Cx.known cx m && seen.(m) <> p && Pset.mem p (Cx.dst cx m) then begin
+            seen.(m) <- p;
+            match Trace.delivery_seq tr ~p ~m with
+            | Some s -> (s, m) :: acc
+            | None -> acc
+          end
+          else acc)
+        [] (Trace.delivery_order tr p)
+    in
+    let rec link = function
+      | (_, m) :: ((_, m') :: _ as rest) ->
+          edge m m';
+          link rest
+      | [ (_, m) ] -> last.(p) <- m
+      | [] -> ()
+    in
+    link (by_seq dels)
+  done;
+  List.iter
+    (fun m ->
+      Pset.iter
+        (fun p ->
+          if last.(p) >= 0 && not (Trace.delivered_at tr ~p ~m) then
+            edge last.(p) m)
+        (Cx.dst cx m);
+      if strict then
+        match Trace.first_delivery_seq tr ~m with
+        | Some d ->
+            let k = first_after points d in
+            if k < np then edge m (b + k)
+        | None -> ())
+    (Cx.ids cx);
+  Array.iteri
+    (fun k (_, m) ->
+      edge (b + k) m;
+      if k + 1 < np then edge (b + k) (b + k + 1))
+    points;
+  succ
+
+(* Kahn's algorithm: peel vertices left with no predecessor; exactly
+   the vertices on or behind a cycle never peel. *)
+let acyclic succ =
+  let v = Array.length succ in
+  let indeg = Array.make v 0 in
+  Array.iter (List.iter (fun w -> indeg.(w) <- indeg.(w) + 1)) succ;
+  let stack = Array.make v 0 and top = ref 0 and peeled = ref 0 in
+  let push w =
+    stack.(!top) <- w;
+    incr top
+  in
+  Array.iteri (fun w d -> if d = 0 then push w) indeg;
+  while !top > 0 do
+    decr top;
+    let u = stack.(!top) in
+    incr peeled;
+    List.iter
+      (fun w ->
+        indeg.(w) <- indeg.(w) - 1;
+        if indeg.(w) = 0 then push w)
+      succ.(u)
+  done;
+  !peeled = v
+
+(* An acyclic chain graph settles the verdict; on a cycle the full
+   edge search decides it and names the witness Properties_ref names. *)
 let ordering_cx cx =
-  match find_cycle (delivery_edges_cx cx) with
-  | None -> Ok ()
-  | Some c ->
-      fail "ordering: ↦ has the cycle %s"
-        (String.concat " ↦ " (List.map (Printf.sprintf "m%d") c))
+  if acyclic (chain_graph cx ~strict:false) then Ok ()
+  else
+    match find_cycle (delivery_edges_cx cx) with
+    | None -> Ok ()
+    | Some c ->
+        fail "ordering: ↦ has the cycle %s"
+          (String.concat " ↦ " (List.map (Printf.sprintf "m%d") c))
 
 let strict_edges_cx cx =
   let tr = (Cx.outcome cx).Runner.trace in
@@ -189,11 +309,13 @@ let strict_edges_cx cx =
   !rt
 
 let strict_ordering_cx cx =
-  match find_cycle (delivery_edges_cx cx @ strict_edges_cx cx) with
-  | None -> Ok ()
-  | Some c ->
-      fail "strict ordering: ↦ ∪ ↝ has the cycle %s"
-        (String.concat " → " (List.map (Printf.sprintf "m%d") c))
+  if acyclic (chain_graph cx ~strict:true) then Ok ()
+  else
+    match find_cycle (delivery_edges_cx cx @ strict_edges_cx cx) with
+    | None -> Ok ()
+    | Some c ->
+        fail "strict ordering: ↦ ∪ ↝ has the cycle %s"
+          (String.concat " → " (List.map (Printf.sprintf "m%d") c))
 
 let pairwise_ordering_cx cx =
   let outcome = Cx.outcome cx in

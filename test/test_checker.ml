@@ -48,6 +48,13 @@ let detects_missing_delivery () =
   let o = outcome_of_events [ ev_invoke 0 0 0; ev_deliver 0 0 1 ] in
   Alcotest.(check bool) "partial delivery caught" true (Properties.termination o <> Ok ())
 
+(* A failure names its witness: the exact message, which the frozen
+   reference must produce too. *)
+let check_failure what expected verdict reference =
+  Alcotest.(check (result unit string)) what (Error expected) verdict;
+  Alcotest.(check (result unit string)) (what ^ ", as the reference") reference
+    verdict
+
 let detects_delivery_cycle () =
   (* p1 ∈ g0∩g1 delivers m0 then m1... and m1 before m0 via a second
      shared process is impossible here, so build the 2-message cycle on
@@ -72,9 +79,12 @@ let detects_delivery_cycle () =
           ];
     }
   in
-  Alcotest.(check bool) "cycle caught" true (Properties.ordering o <> Ok ());
-  Alcotest.(check bool) "pairwise violation caught" true
-    (Properties.pairwise_ordering o <> Ok ())
+  check_failure "cycle caught" "ordering: ↦ has the cycle m0 ↦ m1"
+    (Properties.ordering o) (Properties_ref.ordering o);
+  check_failure "pairwise violation caught"
+    "pairwise: p0 orders m0 before m1 but p1 does not"
+    (Properties.pairwise_ordering o)
+    (Properties_ref.pairwise_ordering o)
 
 let detects_strict_violation () =
   (* m0 delivered everywhere before m1 is multicast, yet p1 delivers m1
@@ -90,7 +100,9 @@ let detects_strict_violation () =
         ev_deliver 1 2 5;
       ]
   in
-  Alcotest.(check bool) "↝ cycle caught" true (Properties.strict_ordering o <> Ok ());
+  check_failure "↝ cycle caught" "strict ordering: ↦ ∪ ↝ has the cycle m0 → m1"
+    (Properties.strict_ordering o)
+    (Properties_ref.strict_ordering o);
   Alcotest.(check bool) "plain ordering fine" true (Properties.ordering o = Ok ())
 
 let detects_non_minimality () =
