@@ -73,32 +73,15 @@ type t = {
   mutable links : Channel_fault.stats;
   mutable events : Trace.event list; (* newest first *)
   mutable seq : int;
-  (* Enablement cache (hot-path indexing, DESIGN.md): a failed [step]
-     attempt on (p, m) need not be retried until state it can observe
-     has moved. [ver_group.(g)] counts mutations of L_g, req_at of
-     g-bound messages and every log whose key contains g;
-     [ver_proc.(p)] counts phase changes at p (guards only ever read
-     the stepping process's phases). [fail_g/fail_p] remember the
-     counters at the last fully-failed step of (p, m), [fail_t] its
-     tick (for the invocation-time crossing of [try_list]). [cache]
-     false restores the seed stepper — the reference the
-     trace-identity tests compare against. *)
-  cache : bool;
   (* Commit rounds — the consensus invocations a networked backend
      would make, one per proposal. *)
   mutable rounds : int;
-  ver_group : int array;
-  ver_proc : int array;
-  fail_g : int array array;
-  fail_p : int array array;
-  fail_t : int array array;
   (* Delivered is absorbing at p: no guard of (p, m) can fire again, so
-     [step] drops finished messages from [relevant.(p)] — the candidate
-     set every sweep and cache probe iterates. [del_seen] counts local
+     [step] and [enabled] drop finished messages from [relevant.(p)] —
+     the candidate set both iterate. [del_seen] counts local
      deliveries, [del_pruned] the count at the last prune; comparing
      the two makes the prune O(1) when nothing changed. Purely an
-     iteration-space reduction: a pruned message fails every guard and
-     is [skippable] anyway. *)
+     iteration-space reduction: a pruned message fails every guard. *)
   del_seen : int array;
   del_pruned : int array;
   (* Membership caches for the two hottest [Log.mem] probes — a datum
@@ -111,15 +94,6 @@ type t = {
   stab_done : bool array array;
 }
 
-let touch_group st g = st.ver_group.(g) <- st.ver_group.(g) + 1
-let touch_proc st p = st.ver_proc.(p) <- st.ver_proc.(p) + 1
-
-(* Touch every group whose logs an action at [p] on a g-bound message
-   mutates: g itself plus the stepper's own groups (the (g, h) logs). *)
-let touch_pair_logs st p g =
-  touch_group st g;
-  List.iter (fun h -> if h <> g then touch_group st h) st.groups_of.(p)
-
 let log st g h =
   let g, h = if g <= h then (g, h) else (h, g) in
   match st.logs.(g).(h) with
@@ -129,8 +103,8 @@ let log st g h =
       st.logs.(g).(h) <- Some l;
       l
 
-let create ?(variant = Vanilla) ?(enablement_cache = true)
-    ?(faults = Channel_fault.none) ?(fault_seed = 1) ~topo ~mu ~workload () =
+let create ?(variant = Vanilla) ?(faults = Channel_fault.none) ?(fault_seed = 1)
+    ~topo ~mu ~workload () =
   let reqs = Array.of_list workload in
   let k = Array.length reqs in
   Array.iteri
@@ -184,13 +158,7 @@ let create ?(variant = Vanilla) ?(enablement_cache = true)
     links = Channel_fault.stats_zero;
     events = [];
     seq = 0;
-    cache = enablement_cache;
     rounds = 0;
-    ver_group = Array.make (Topology.num_groups topo) 0;
-    ver_proc = Array.make n 0;
-    fail_g = Array.make_matrix n k (-1);
-    fail_p = Array.make_matrix n k (-1);
-    fail_t = Array.make_matrix n k (-1);
     del_seen = Array.make n 0;
     del_pruned = Array.make n 0;
     sent = Array.make k false;
@@ -203,7 +171,6 @@ let emit st ev =
 
 let set_phase st p m ph time =
   st.phase.(p).(m) <- ph;
-  touch_proc st p;
   match ph with
   | Trace.Delivered ->
       st.del_seen.(p) <- st.del_seen.(p) + 1;
@@ -277,7 +244,6 @@ let try_list st p t m =
     l := m :: !l;
     st.listed.(m) <- true;
     draw_visibility st p t m;
-    touch_group st msg.Amsg.dst;
     emit st (fun seq -> Trace.Invoke { m; p; time = t; seq });
     true
   end
@@ -307,7 +273,6 @@ let try_send st p t m =
   && begin
        ignore (Log.append (log st g g) (Msg m));
        st.sent.(m) <- true;
-       touch_group st g;
        emit st (fun seq -> Trace.Send { m; p; time = t; seq });
        true
      end
@@ -328,7 +293,6 @@ let try_pending st p t m =
              st.pend_hs.(m) <- h :: st.pend_hs.(m);
            if i > st.pend_k.(m) then st.pend_k.(m) <- i)
          st.groups_of.(p);
-       touch_pair_logs st p g;
        set_phase st p m Trace.Pending t;
        true
      end
@@ -348,7 +312,6 @@ let try_commit st p t m =
        List.iter
          (fun h -> Log.bump_and_lock (log st g h) (Msg m) k)
          st.groups_of.(p);
-       touch_pair_logs st p g;
        set_phase st p m Trace.Commit t;
        true
      end
@@ -369,7 +332,6 @@ let try_stabilize st p t m h =
   && begin
        ignore (Log.append (log st g g) (Stab (m, h)));
        st.stab_done.(m).(h) <- true;
-       touch_group st g;
        true
      end
 
@@ -406,37 +368,6 @@ let try_deliver st p t m =
        true
      end
 
-(* Whether a failed attempt on (p, m) recorded at [fail_t] with the
-   current version counters could evaluate differently at time [t]: a
-   delivered message never acts again; otherwise every guard is a pure
-   function of counted state except the detector queries of commit
-   (γ, phase Pending) and stable (γ / 1^{g∩h}, phase Commit) — absent
-   under Pairwise where γ(g) = ∅ — and the [t ≥ req_at] threshold of
-   try_list, which can only flip when t first crosses req_at. *)
-let skippable st p t m =
-  if not (visible st p t m) then
-    (* The announcement is still in flight: no action of p on m can
-       fire, and the crossing needs no cursor bookkeeping — listing
-       already bumped [ver_group], and cursors for (p, m) are only ever
-       written while m is visible (invisible messages never enter
-       [live]), so the first visible attempt is never skipped. *)
-    true
-  else
-  match st.phase.(p).(m) with
-  | Trace.Delivered -> true
-  | ph ->
-      let msg = st.msgs.(m) in
-      st.fail_g.(p).(m) = st.ver_group.(msg.Amsg.dst)
-      && st.fail_p.(p).(m) = st.ver_proc.(p)
-      && (match ph with
-         | Trace.Pending | Trace.Commit -> st.variant = Pairwise
-         | Trace.Start | Trace.Stable | Trace.Delivered -> true)
-      && not
-           (msg.Amsg.src = p
-           && (not st.listed.(m))
-           && t >= st.req_at.(m)
-           && st.fail_t.(p).(m) < st.req_at.(m))
-
 let prune_delivered st p =
   if st.del_seen.(p) <> st.del_pruned.(p) then begin
     st.relevant.(p) <-
@@ -446,57 +377,45 @@ let prune_delivered st p =
     st.del_pruned.(p) <- st.del_seen.(p)
   end
 
+(* Exactly the candidates [step] scans: a [false] hint means no cascade
+   level of [step] has a message to try. *)
 let enabled st ~pid:p ~time:t =
   prune_delivered st p;
-  (not st.cache)
-  || List.exists (fun m -> not (skippable st p t m)) st.relevant.(p)
+  List.exists (visible st p t) st.relevant.(p)
 
 let step st ~pid:p ~time:t =
   prune_delivered st p;
-  (* The visibility gate is part of the semantics, not of the
-     enablement cache (which merely subsumes it via [skippable]). With
-     [Channel_fault.none] both filters pass everything through
-     untouched, keeping fault-free runs bit-identical to the pre-fault
-     stepper. *)
-  let base =
-    if Channel_fault.is_none st.faults then st.relevant.(p)
-    else List.filter (fun m -> visible st p t m) st.relevant.(p)
+  (* The visibility gate is part of the semantics: a member acts on m
+     only once its copy of the announcement has arrived. Fault-free
+     runs never test it, keeping them bit-identical to the pre-fault
+     stepper. Under faults each cascade level tests the body of
+     [visible] inline, with the fault check and row lookup hoisted out
+     of the walk; it must agree with [visible], which [enabled] reads. *)
+  let candidates = st.relevant.(p) in
+  let try_each =
+    if Channel_fault.is_none st.faults then fun f -> List.exists f candidates
+    else
+      let listed = st.listed and arrival = st.visible_at.(p) in
+      fun f ->
+        List.exists
+          (fun m -> ((not listed.(m)) || t >= arrival.(m)) && f m)
+          candidates
   in
-  let live =
-    if st.cache then List.filter (fun m -> not (skippable st p t m)) base
-    else base
-  in
-  match live with
-  | [] -> false
-  | _ ->
-      let try_each f l = List.exists f l in
-      let executed =
-        try_each (try_deliver st p t) live
-        || try_each (try_stable st p t) live
-        || try_each
-             (fun m ->
-               let g = st.msgs.(m).Amsg.dst in
-               st.phase.(p).(m) = Trace.Commit
-               && try_each
-                    (fun h ->
-                      h <> g
-                      && Pset.mem p (Topology.inter st.topo g h)
-                      && try_stabilize st p t m h)
-                    st.groups_of.(p))
-             live
-        || try_each (try_commit st p t) live
-        || try_each (try_pending st p t) live
-        || try_each (try_send st p t) live
-        || try_each (try_list st p t) live
-      in
-      if st.cache && not executed then
-        List.iter
-          (fun m ->
-            st.fail_g.(p).(m) <- st.ver_group.(st.msgs.(m).Amsg.dst);
-            st.fail_p.(p).(m) <- st.ver_proc.(p);
-            st.fail_t.(p).(m) <- t)
-          live;
-      executed
+  try_each (try_deliver st p t)
+  || try_each (try_stable st p t)
+  || try_each (fun m ->
+         let g = st.msgs.(m).Amsg.dst in
+         st.phase.(p).(m) = Trace.Commit
+         && List.exists
+              (fun h ->
+                h <> g
+                && Pset.mem p (Topology.inter st.topo g h)
+                && try_stabilize st p t m h)
+              st.groups_of.(p))
+  || try_each (try_commit st p t)
+  || try_each (try_pending st p t)
+  || try_each (try_send st p t)
+  || try_each (try_list st p t)
 
 let trace st = Trace.make ~n:(Topology.n st.topo) (List.rev st.events)
 let phase st ~pid ~m = st.phase.(pid).(m)
@@ -537,13 +456,7 @@ let consensus_decisions st =
   in
   Consensus_table.decisions st.cons ~cmp
 
-let release st ~m ~time =
-  if st.req_at.(m) > time then begin
-    st.req_at.(m) <- time;
-    (* Only loosens the enablement cache: a lowered req_at can turn
-       try_list on, and the source's cursor may predate the crossing. *)
-    touch_group st st.msgs.(m).Amsg.dst
-  end
+let release st ~m ~time = if st.req_at.(m) > time then st.req_at.(m) <- time
 
 let consensus_rounds st = st.rounds
 

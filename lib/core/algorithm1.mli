@@ -37,7 +37,6 @@ type t
 
 val create :
   ?variant:variant ->
-  ?enablement_cache:bool ->
   ?faults:Channel_fault.spec ->
   ?fault_seed:int ->
   topo:Topology.t ->
@@ -55,16 +54,7 @@ val create :
     the schedule — and may only act on [m] once its copy has arrived;
     a copy lost for good (impossible with [stubborn]) hides [m] from
     [q] forever. With [Channel_fault.none] no draw is made and the
-    stepper is bit-identical to the fault-free one.
-
-    [enablement_cache] (default [true]) turns on the hot-path skip
-    index: per-(process, message) failure cursors invalidated by
-    version counters on log/list/phase mutations, so [step] skips
-    messages whose guards cannot have changed since they last failed.
-    The cache only prunes provably-disabled candidates, so traces are
-    bit-identical either way, however many steps per tick the engine
-    takes; [false] recovers the reference stepper (used by the
-    trace-identity tests). *)
+    stepper is bit-identical to the fault-free one. *)
 
 val step : t -> pid:int -> time:int -> bool
 (** Execute at most one enabled action of process [pid]; returns
@@ -75,10 +65,13 @@ val step : t -> pid:int -> time:int -> bool
     {!Runner.run}. *)
 
 val enabled : t -> pid:int -> time:int -> bool
-(** Conservative enablement hint for [Engine.run]: [false] only when
-    the cache proves no action of [pid] can execute at [time] (always
-    [true] with the cache off). Sound to use as the engine's
-    [?enabled] filter: skipping such a process cannot change the run. *)
+(** Conservative enablement hint for [Engine.run] and the explorer:
+    whether [pid] has an undelivered message whose announcement has
+    reached it at [time]. Those are exactly the candidates {!step}
+    scans, so [false] implies that [step] returns [false]: sound to
+    use as the engine's [?enabled] filter, since skipping such a
+    process cannot change the run. [true] may still be followed by a
+    [step] that finds every guard false. *)
 
 val trace : t -> Trace.t
 (** Events recorded so far, in execution order. *)

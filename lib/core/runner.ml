@@ -24,7 +24,7 @@ let snapshot_of st =
   List.map (fun key -> (key, Algorithm1.log_snapshot st key)) (Algorithm1.log_keys st)
 
 let run ?(variant = Algorithm1.Vanilla) ?(seed = 1) ?horizon ?mu ?scheduled
-    ?enablement_cache ?(batching = false) ?(faults = Channel_fault.none)
+    ?(batching = false) ?(faults = Channel_fault.none)
     ?(record_snapshots = false) ~topo ~fp ~workload () =
   let mu = match mu with Some m -> m | None -> Mu.make ~seed topo fp in
   let horizon =
@@ -39,8 +39,7 @@ let run ?(variant = Algorithm1.Vanilla) ?(seed = 1) ?horizon ?mu ?scheduled
         + ((List.length workload + 1) * Channel_fault.latency_bound faults)
   in
   let st =
-    Algorithm1.create ~variant ?enablement_cache ~faults
-      ~fault_seed:seed ~topo ~mu ~workload ()
+    Algorithm1.create ~variant ~faults ~fault_seed:seed ~topo ~mu ~workload ()
   in
   let snapshots = ref [] in
   let on_tick t =

@@ -36,7 +36,6 @@ val run :
   ?horizon:int ->
   ?mu:Mu.t ->
   ?scheduled:(int -> Pset.t) ->
-  ?enablement_cache:bool ->
   ?batching:bool ->
   ?faults:Channel_fault.spec ->
   ?record_snapshots:bool ->
@@ -48,9 +47,7 @@ val run :
 (** [mu] defaults to [Mu.make ~seed topo fp] (valid histories of every
     component); pass an ablated bundle to run the weakened-detector
     experiments. [scheduled] restricts which processes may take steps
-    at each tick (P-fair runs of §6.2). [enablement_cache] (default
-    [true]) is forwarded to {!Algorithm1.create}; [false] runs the
-    reference stepper, which produces the same trace, slower.
+    at each tick (P-fair runs of §6.2).
 
     [batching] (default [false]) is the heavy-traffic mode of DESIGN.md
     "Batching & group sharding": the engine calls {!Algorithm1.step}

@@ -178,9 +178,7 @@ let replay ctx c ?on_tick moves =
   in
   let stats, fired =
     Engine.run_pinned ~fp:ctx.fp ~seed:ctx.sc.Scenario.seed ?on_tick
-      ~moves:(moves_array moves)
-      ~enabled:(fun ~pid ~time -> Algorithm1.enabled st ~pid ~time)
-      ~step:(Algorithm1.step st) ()
+      ~moves:(moves_array moves) ~step:(Algorithm1.step st) ()
   in
   c.c_replayed_steps <- c.c_replayed_steps + stats.Engine.executed;
   (st, stats, fired)
@@ -250,9 +248,7 @@ let check_terminal ctx c tbl st stats path =
     let on_tick t = snaps := (t, snapshot_of st') :: !snaps in
     let stats', _ =
       Engine.run_pinned ~fp:ctx.fp ~seed:ctx.sc.Scenario.seed ~on_tick
-        ~moves:(moves_array path)
-        ~enabled:(fun ~pid ~time -> Algorithm1.enabled st' ~pid ~time)
-        ~step:(Algorithm1.step st') ()
+        ~moves:(moves_array path) ~step:(Algorithm1.step st') ()
     in
     c.c_replayed_steps <- c.c_replayed_steps + stats'.Engine.executed;
     let o = outcome_of ctx st' stats' ~snapshots:(List.rev !snaps) in

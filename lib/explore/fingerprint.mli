@@ -11,8 +11,8 @@
     and produce the same behaviours under the same move sequences, so
     the explorer may prune one of them (visited-state caching). The
     rendering deliberately excludes execution bookkeeping that cannot
-    influence the future — event sequence numbers, engine tick counts,
-    enablement-cache cursors.
+    influence the future — event sequence numbers and engine tick
+    counts.
 
     Canonical time: the caller passes [min t t_steady], where
     [t_steady] is the first tick after which every time-dependent guard

@@ -266,7 +266,7 @@ let pp fmt s = Format.pp_print_string fmt (to_string s)
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let run ?(record_snapshots = false) ?enablement_cache s =
+let run ?(record_snapshots = false) s =
   (match validate s with
   | Ok () -> ()
   | Error e -> invalid_arg ("Scenario.run: " ^ e));
@@ -302,8 +302,8 @@ let run ?(record_snapshots = false) ?enablement_cache s =
               | None -> Pset.empty
             else Pset.range s.n)
   in
-  Runner.run ~variant:s.variant ~seed:s.seed ?scheduled ?enablement_cache
-    ~faults:s.faults ~record_snapshots ~mu ~topo ~fp ~workload ()
+  Runner.run ~variant:s.variant ~seed:s.seed ?scheduled ~faults:s.faults
+    ~record_snapshots ~mu ~topo ~fp ~workload ()
 
 let liveness_gap s =
   let topo = topology s in

@@ -87,12 +87,10 @@ val pp : Format.formatter -> t -> unit
 
 (** {1 Execution} *)
 
-val run : ?record_snapshots:bool -> ?enablement_cache:bool -> t -> Runner.outcome
+val run : ?record_snapshots:bool -> t -> Runner.outcome
 (** Build the (possibly ablated) detector bundle and drive Algorithm 1
     to quiescence. Raises [Invalid_argument] on scenarios that fail
-    {!validate}. [enablement_cache] is forwarded to {!Runner.run};
-    [false] selects the reference stepper (same outcome, slower) — the
-    trace-identity tests compare the two. *)
+    {!validate}. *)
 
 val liveness_gap : t -> bool
 (** Whether the scenario's crashes open the documented Lemma 25

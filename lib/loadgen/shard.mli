@@ -31,7 +31,6 @@ val run :
   ?variant:Algorithm1.variant ->
   ?seed:int ->
   ?horizon:int ->
-  ?enablement_cache:bool ->
   ?batching:bool ->
   shard list ->
   Runner.outcome array

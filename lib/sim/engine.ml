@@ -98,7 +98,7 @@ let run ~fp ~horizon ?(quiesce_after = 0) ?(live_until = fun () -> 0)
    order-trivial, making pinned runs independent of [seed]. The
    explorer (lib/explore) replays its DFS frontier through this
    entry point instead of snapshotting simulator state. *)
-let run_pinned ~fp ?(seed = 1) ?enabled ?(on_tick = fun (_ : int) -> ())
+let run_pinned ~fp ?(seed = 1) ?(on_tick = fun (_ : int) -> ())
     ~(moves : int option array) ~step () =
   let d = Array.length moves in
   let fired = Array.make (max d 1) false in
@@ -112,7 +112,7 @@ let run_pinned ~fp ?(seed = 1) ?enabled ?(on_tick = fun (_ : int) -> ())
     r
   in
   let stats =
-    run ~fp ~horizon:(d - 1) ~quiesce_after:d ~seed ~scheduled ?enabled
-      ~on_tick ~step ()
+    run ~fp ~horizon:(d - 1) ~quiesce_after:d ~seed ~scheduled ~on_tick ~step
+      ()
   in
   (stats, Array.sub fired 0 d)

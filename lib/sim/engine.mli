@@ -60,7 +60,6 @@ val run :
 val run_pinned :
   fp:Failure_pattern.t ->
   ?seed:int ->
-  ?enabled:(pid:int -> time:int -> bool) ->
   ?on_tick:(int -> unit) ->
   moves:int option array ->
   step:(pid:int -> time:int -> bool) ->
@@ -71,8 +70,9 @@ val run_pinned :
     last move — quiescence detection is disabled, so a pinned prefix
     always executes in full. Returns the engine stats together with a
     per-move flag telling whether that tick's process actually executed
-    an action (crashed or disabled processes let the tick pass). Pinned
-    runs are deterministic and independent of [seed]: a scheduled set
+    an action (crashed or disabled processes let the tick pass). There
+    is no [enabled] hint: the pinned process's [step] is always called,
+    and its result alone decides the flag. Pinned runs are deterministic and independent of [seed]: a scheduled set
     of at most one element leaves nothing for the per-tick shuffle to
     permute. This is the replay primitive of the systematic explorer
     (lib/explore). *)

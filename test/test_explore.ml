@@ -40,7 +40,6 @@ let render_after sc moves =
   let _stats, fired =
     Engine.run_pinned ~fp ~seed:sc.Scenario.seed
       ~moves:(Array.map (fun p -> Some p) (Array.of_list moves))
-      ~enabled:(fun ~pid ~time -> Algorithm1.enabled st ~pid ~time)
       ~step:(Algorithm1.step st) ()
   in
   ( Fingerprint.render ~time:(Explore.steady_time sc) ~topo
@@ -244,6 +243,43 @@ let corpus_reverify () =
                 (r.Explore.depth <= max_depth)))
     failing
 
+(* Exhaustive search under channel faults, where POR is off and the
+   enablement hint decides which probes are replayed: the three
+   explore-faults configs of the end-to-end benchmark (message i to
+   group i mod G from its smallest member at t=0) at default depth.
+   The counts pin how much the search covers — a hint that wrongly
+   rules a process out shrinks them without reporting anything. A
+   change that alters the search on purpose updates them and says why. *)
+let explore_under_faults () =
+  let config name topo ~msgs ~drop ~delay ~expect:(nodes, terminals, distinct) =
+    let groups = List.map (Topology.group topo) (Topology.gids topo) in
+    let msgs =
+      List.init msgs (fun i ->
+          let g = i mod List.length groups in
+          (Pset.choose (List.nth groups g), g, 0))
+    in
+    let faults = { Channel_fault.drop; dup = 0; delay; stubborn = true } in
+    let sc =
+      Scenario.make ~msgs ~faults ~max_delay:1 ~n:(Topology.n topo) groups
+    in
+    let r = Explore.run sc in
+    let c = r.Explore.counters in
+    Alcotest.(check (list string)) (name ^ ": no violation") []
+      (Explore.failing_properties r);
+    Alcotest.(check bool) (name ^ ": por off under faults") false r.Explore.por;
+    Alcotest.(check (list int))
+      (name ^ ": nodes, terminals, distinct states")
+      [ nodes; terminals; distinct ]
+      [ c.Explore.nodes; c.Explore.terminals; c.Explore.distinct_states ]
+  in
+  config "chain-2-K1" (Topology.chain ~groups:2) ~msgs:1 ~drop:3000 ~delay:1
+    ~expect:(1170, 4, 488);
+  config "ring-3-K1" (Topology.ring ~groups:3) ~msgs:1 ~drop:3000 ~delay:2
+    ~expect:(3445, 24, 1584);
+  config "disjoint-2x2-K2"
+    (Topology.disjoint ~groups:2 ~size:2)
+    ~msgs:2 ~drop:1000 ~delay:1 ~expect:(9033, 4, 2807)
+
 let suite =
   let t = Alcotest.test_case in
   [
@@ -256,4 +292,5 @@ let suite =
     t "jobs invariance" `Quick jobs_identity;
     t "pinned codec round-trip" `Quick pinned_codec;
     t "corpus findings re-verified exhaustively" `Quick corpus_reverify;
+    t "fault configs: pinned counts" `Quick explore_under_faults;
   ]

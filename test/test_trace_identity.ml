@@ -1,97 +1,164 @@
-(* The enablement cache and the ~enabled engine hint are pure pruning:
-   they may only skip step calls that would have returned false. These
-   tests pin that claim end to end — the optimized stepper must produce
-   an event-for-event identical trace AND identical engine statistics
-   (per-process step counts, total executed, ticks, quiescence) as the
-   reference stepper (enablement_cache:false), for every committed
-   corpus scenario and for a fresh generated sweep, both sequentially
-   and under the domain pool, and for batched runs (the engine draining
-   each process to a fixpoint) on loadgen traffic. *)
+(* [Algorithm1.enabled] is a pure hint: when it says [false], [step]
+   must return [false], so the engine may skip the call. These tests pin
+   that claim end to end. Each run is rebuilt from public parts, as
+   bench/e2e/pipeline.ml does: no [~enabled] filter, and a [step]
+   wrapper that asks the hint before every call. A case fails if a step
+   fires where the hint said [false], or if the rebuilt trace or
+   [Engine.stats] differ from [Runner.run]'s on the same inputs (which
+   does pass the hint to the engine). Every input runs scalar and
+   batched: the committed corpus, a generated sweep at jobs=1 and
+   jobs=4, ring-6 crash seeds with the loadgen sweep, and a
+   fault-injected sweep over all three variants — besides delivered
+   pruning, announcement visibility is the only state the hint reads. *)
 
 let t = Alcotest.test_case
 
 let event_to_string e = Format.asprintf "%a" Trace.pp_event e
 
-(* None = identical; Some msg = first divergence, described. *)
-let outcome_divergence reference optimized =
-  let rt = reference.Runner.trace and ot = optimized.Runner.trace in
-  let rs = reference.Runner.stats and os = optimized.Runner.stats in
-  let rec first_diff i = function
+type input = {
+  name : string;
+  topo : Topology.t;
+  fp : Failure_pattern.t;
+  workload : Workload.t;
+  variant : Algorithm1.variant;
+  faults : Channel_fault.spec;
+  seed : int;
+}
+
+let input ?(variant = Algorithm1.Vanilla) ?(faults = Channel_fault.none) name
+    topo fp workload seed =
+  { name; topo; fp; workload; variant; faults; seed }
+
+let of_scenario name s =
+  input ~variant:s.Scenario.variant ~faults:s.Scenario.faults name
+    (Scenario.topology s) (Scenario.failure_pattern s) (Scenario.workload s)
+    s.Scenario.seed
+
+(* Runner.run at its defaults, rebuilt without [~enabled]. Returns the
+   trace, the engine stats and every (pid, tick) at which a step fired
+   although the hint had just said [false]. *)
+let hinted_run ~batching i =
+  let mu = Mu.make ~seed:i.seed i.topo i.fp in
+  let st =
+    Algorithm1.create ~variant:i.variant ~faults:i.faults ~fault_seed:i.seed
+      ~topo:i.topo ~mu ~workload:i.workload ()
+  in
+  let horizon =
+    Runner.default_horizon i.workload i.fp
+    + ((List.length i.workload + 1) * Channel_fault.latency_bound i.faults)
+  in
+  let max_at =
+    List.fold_left (fun acc r -> max acc r.Workload.at) 0 i.workload
+  in
+  let quiesce_after = max_at + Failure_pattern.max_crash_time i.fp + 30 in
+  let unsound = ref [] in
+  let step ~pid ~time =
+    let hint = Algorithm1.enabled st ~pid ~time in
+    let fired = Algorithm1.step st ~pid ~time in
+    if fired && not hint then unsound := (pid, time) :: !unsound;
+    fired
+  in
+  let stats =
+    Engine.run ~fp:i.fp ~horizon ~quiesce_after
+      ~live_until:(fun () -> Algorithm1.visibility_horizon st)
+      ~seed:i.seed
+      ~steps_per_tick:(if batching then max_int else 1)
+      ~step ()
+  in
+  (Algorithm1.trace st, stats, List.rev !unsound)
+
+(* None = sound and identical; Some msg = the first problem, described. *)
+let check_mode ~batching i =
+  let trace, stats, unsound = hinted_run ~batching i in
+  let reference =
+    Runner.run ~variant:i.variant ~seed:i.seed ~batching ~faults:i.faults
+      ~topo:i.topo ~fp:i.fp ~workload:i.workload ()
+  in
+  let rt = reference.Runner.trace and rs = reference.Runner.stats in
+  let rec first_diff k = function
     | [], [] -> None
     | e :: _, [] | [], e :: _ ->
         Some
-          (Printf.sprintf "event %d: one trace ends, other has %s" i
+          (Printf.sprintf "event %d: one trace ends, other has %s" k
              (event_to_string e))
     | e :: es, e' :: es' ->
-        if e = e' then first_diff (i + 1) (es, es')
+        if e = e' then first_diff (k + 1) (es, es')
         else
           Some
-            (Printf.sprintf "event %d: reference %s vs optimized %s" i
+            (Printf.sprintf "event %d: Runner.run %s vs rebuilt %s" k
                (event_to_string e) (event_to_string e'))
   in
-  match first_diff 0 (rt.Trace.events, ot.Trace.events) with
-  | Some _ as d -> d
-  | None ->
-      if rs.Engine.steps <> os.Engine.steps then
-        Some "per-process step counts differ"
-      else if rs.Engine.executed <> os.Engine.executed then
-        Some
-          (Printf.sprintf "executed: %d vs %d" rs.Engine.executed
-             os.Engine.executed)
-      else if rs.Engine.ticks_used <> os.Engine.ticks_used then
-        Some
-          (Printf.sprintf "ticks: %d vs %d" rs.Engine.ticks_used
-             os.Engine.ticks_used)
-      else if rs.Engine.quiescent <> os.Engine.quiescent then
-        Some "quiescence flags differ"
-      else if
-        reference.Runner.consensus_instances
-        <> optimized.Runner.consensus_instances
-      then Some "consensus instance counts differ"
-      else None
+  match unsound with
+  | (p, tick) :: _ ->
+      Some
+        (Printf.sprintf "p%d fired at tick %d where the hint said false (%d such steps)"
+           p tick (List.length unsound))
+  | [] -> (
+      match first_diff 0 (rt.Trace.events, trace.Trace.events) with
+      | Some _ as d -> d
+      | None ->
+          if rs.Engine.steps <> stats.Engine.steps then
+            Some "per-process step counts differ"
+          else if rs.Engine.executed <> stats.Engine.executed then
+            Some
+              (Printf.sprintf "executed: %d vs %d" rs.Engine.executed
+                 stats.Engine.executed)
+          else if rs.Engine.ticks_used <> stats.Engine.ticks_used then
+            Some
+              (Printf.sprintf "ticks: %d vs %d" rs.Engine.ticks_used
+                 stats.Engine.ticks_used)
+          else if rs.Engine.quiescent <> stats.Engine.quiescent then
+            Some "quiescence flags differ"
+          else None)
 
-let divergence s =
-  outcome_divergence (Scenario.run ~enablement_cache:false s) (Scenario.run s)
+(* Every problem of one input, scalar then batched. *)
+let problems i =
+  List.filter_map
+    (fun batching ->
+      Option.map
+        (fun d ->
+          Printf.sprintf "%s (%s): %s" i.name
+            (if batching then "batched" else "scalar")
+            d)
+        (check_mode ~batching i))
+    [ false; true ]
 
-let corpus_identity () =
+let corpus_hint () =
   let entries = Corpus.load ~dir:"../corpus" in
   if List.length entries < 4 then
     Alcotest.failf "corpus too small (%d scenarios)" (List.length entries);
-  List.iter
-    (fun (name, decoded) ->
-      match decoded with
-      | Error e -> Alcotest.failf "%s does not decode: %s" name e
-      | Ok s -> (
-          match divergence s with
-          | None -> ()
-          | Some d -> Alcotest.failf "%s: %s" name d))
-    entries
+  let bad =
+    List.concat_map
+      (fun (name, decoded) ->
+        match decoded with
+        | Error e -> Alcotest.failf "%s does not decode: %s" name e
+        | Ok s -> problems (of_scenario name s))
+      entries
+  in
+  Alcotest.(check (list string)) "unsound or divergent runs" [] bad
 
-(* 200 fresh generated scenarios, checked through the domain pool at
-   jobs=1 and jobs=4 — the same indices the fuzz driver would farm
-   out, so cache state is also exercised from worker domains. *)
-let fuzz_identity jobs () =
+(* 200 generated scenarios per sweep, checked through the domain pool —
+   the same indices the fuzz driver would farm out, so the hint is also
+   exercised from worker domains. *)
+let sweep_hint ~seed cfg jobs () =
   let trials = 200 in
   let results =
-    Domain_pool.map ~jobs trials (fun i ->
-        let s = Fuzz_driver.scenario_of_trial ~seed:7 Scenario_gen.default i in
-        match divergence s with
-        | None -> None
-        | Some d -> Some (Printf.sprintf "trial %d: %s" i d))
+    Domain_pool.map ~jobs trials (fun k ->
+        let s = Fuzz_driver.scenario_of_trial ~seed cfg k in
+        problems (of_scenario (Printf.sprintf "trial %d" k) s))
   in
-  let divergent = Array.to_list results |> List.filter_map Fun.id in
-  Alcotest.(check (list string)) "divergent events" [] divergent
+  Alcotest.(check (list string))
+    "unsound or divergent runs" []
+    (List.concat (Array.to_list results))
 
-(* Batched runs under the same contract, over a contended ring-6 with a
-   crash (eight seeds) and the loadgen sweep of the throughput identity
-   suite. The engine calls [enabled] once per slot and then repeats
-   [step] until it returns false, so a cache that skipped a candidate
-   some earlier action of the same slot had enabled would reorder the
-   tick. *)
-let batched_identity () =
+(* A contended ring-6 with a crash (eight seeds) and the loadgen sweep
+   of the throughput identity suite. Batched, the engine repeats [step]
+   within a slot, so a hint that missed a candidate some earlier action
+   of the same slot had enabled shows up here. *)
+let loadgen_hint () =
   let ring6 =
-    List.init 8 (fun i ->
-        let seed = i + 1 in
+    List.init 8 (fun k ->
+        let seed = k + 1 in
         let topo = Topology.ring ~groups:6 in
         let workload =
           Loadgen.open_loop ~rng:(Rng.make (100 + seed)) ~rate_pct:300
@@ -100,24 +167,29 @@ let batched_identity () =
         let fp = Failure_pattern.of_crashes ~n:(Topology.n topo) [ (2, 5) ] in
         (Printf.sprintf "ring-6-crash-s%d" seed, topo, fp, workload, seed))
   in
-  let divergent =
-    List.filter_map
+  let bad =
+    List.concat_map
       (fun (name, topo, fp, workload, seed) ->
-        let run enablement_cache =
-          Runner.run ~seed ~batching:true ~enablement_cache ~topo ~fp
-            ~workload ()
-        in
-        Option.map
-          (fun d -> name ^ ": " ^ d)
-          (outcome_divergence (run false) (run true)))
+        problems (input name topo fp workload seed))
       (ring6 @ Test_throughput_identity.generated_scenarios ())
   in
-  Alcotest.(check (list string)) "divergent runs" [] divergent
+  Alcotest.(check (list string)) "unsound or divergent runs" [] bad
+
+let faulty_cfg =
+  {
+    Scenario_gen.default with
+    Scenario_gen.faults_gen = `Random;
+    variants = [ Algorithm1.Vanilla; Algorithm1.Strict; Algorithm1.Pairwise ];
+  }
 
 let suite =
   [
-    t "corpus: optimized trace = reference trace" `Quick corpus_identity;
-    t "fuzz sweep identical (jobs=1)" `Slow (fuzz_identity 1);
-    t "fuzz sweep identical (jobs=4)" `Slow (fuzz_identity 4);
-    t "batched: cache on = cache off" `Quick batched_identity;
+    t "corpus: hint sound, same runs" `Quick corpus_hint;
+    t "fuzz hint sound (jobs=1)" `Slow
+      (sweep_hint ~seed:7 Scenario_gen.default 1);
+    t "fuzz hint sound (jobs=4)" `Slow
+      (sweep_hint ~seed:7 Scenario_gen.default 4);
+    t "ring-6 + loadgen: hint sound" `Quick loadgen_hint;
+    t "fault sweep: hint sound" `Slow
+      (sweep_hint ~seed:11 faulty_cfg 1);
   ]
