@@ -165,6 +165,29 @@ let create ?(variant = Vanilla) ?(faults = Channel_fault.none) ?(fault_seed = 1)
     stab_done = Array.make_matrix k (Topology.num_groups topo) false;
   }
 
+(* Every mutable field gets its own storage; only the immutable data
+   ([topo], [mu], [msgs], [h_key], [groups_of], [faults], the event
+   list) is shared. Both levels of [logs] are copied so that a log
+   first touched in the copy stays absent from the original. *)
+let copy st =
+  {
+    st with
+    req_at = Array.copy st.req_at;
+    logs = Array.map (Array.map (Option.map Log.copy)) st.logs;
+    lists = Array.map (fun l -> ref !l) st.lists;
+    listed = Array.copy st.listed;
+    pend_hs = Array.copy st.pend_hs;
+    pend_k = Array.copy st.pend_k;
+    cons = Consensus_table.copy st.cons;
+    phase = Array.map Array.copy st.phase;
+    relevant = Array.copy st.relevant;
+    visible_at = Array.map Array.copy st.visible_at;
+    del_seen = Array.copy st.del_seen;
+    del_pruned = Array.copy st.del_pruned;
+    sent = Array.copy st.sent;
+    stab_done = Array.map Array.copy st.stab_done;
+  }
+
 let emit st ev =
   st.events <- ev st.seq :: st.events;
   st.seq <- st.seq + 1
@@ -438,8 +461,7 @@ let log_snapshot st (g, h) =
   else
     match st.logs.(g).(h) with
     | None -> []
-    | Some l ->
-        List.map (fun d -> (d, Log.pos l d, Log.locked l d)) (Log.entries l)
+    | Some l -> Log.snapshot l
 
 let consensus_instances st = Consensus_table.instances st.cons
 

@@ -56,6 +56,12 @@ val create :
     [q] forever. With [Channel_fault.none] no draw is made and the
     stepper is bit-identical to the fault-free one. *)
 
+val copy : t -> t
+(** An independent state equal to the given one: stepping, releasing
+    or touching a new log in either leaves the other unchanged, and
+    [step] on the copy does what it would on the original. The
+    explorer derives each child node from a copy of its parent. *)
+
 val step : t -> pid:int -> time:int -> bool
 (** Execute at most one enabled action of process [pid]; returns
     whether one was executed. Feed this to [Engine.run]: how many
@@ -83,7 +89,8 @@ val log_keys : t -> (Topology.gid * Topology.gid) list
     [(g, g)] standing for [LOG_g]). *)
 
 val log_snapshot : t -> (Topology.gid * Topology.gid) -> (datum * int * bool) list
-(** Entries of a log with position and lock status, in log order. *)
+(** Entries of a log with position and lock status, in log order
+    ({!Log.snapshot}: no table lookup per entry). *)
 
 val consensus_instances : t -> int
 (** Number of [CONS_{m,f}] instances actually decided. *)

@@ -1,8 +1,8 @@
 (* Bounded DPOR-lite exploration of Algorithm 1 schedules. Every node
-   is reconstructed by replaying its move prefix from the initial state
-   (Engine.run_pinned), so the frontier is a list of move sequences and
-   every witness is replayable by construction. See explore.mli for the
-   reduction and soundness story. *)
+   is derived from a copy of its parent's state plus one pinned tick
+   ([derive]); the path of moves rides along, so every witness is a
+   pinned schedule that replays from the initial state. See
+   explore.mli for the reduction and soundness story. *)
 
 type move = Step of int | Idle
 
@@ -167,21 +167,40 @@ let make_ctx ~por ~cache ~claims ~stop_on_first sc =
 let moves_array moves =
   Array.of_list (List.map (function Step p -> Some p | Idle -> None) moves)
 
-(* Replay a move prefix from the initial state. Returns the state at
-   the end of the prefix, the engine stats, and the per-move fired
-   flags (whether the pinned process actually executed an action). *)
-let replay ctx c ?on_tick moves =
+(* The root node: the initial state and the stats of the empty pinned
+   prefix. *)
+let replay ctx =
   let st =
     Algorithm1.create ~variant:ctx.sc.Scenario.variant
       ~faults:ctx.sc.Scenario.faults ~fault_seed:ctx.sc.Scenario.seed
       ~topo:ctx.topo ~mu:ctx.mu ~workload:ctx.workload ()
   in
-  let stats, fired =
-    Engine.run_pinned ~fp:ctx.fp ~seed:ctx.sc.Scenario.seed ?on_tick
-      ~moves:(moves_array moves) ~step:(Algorithm1.step st) ()
+  let stats, _ =
+    Engine.run_pinned ~fp:ctx.fp ~seed:ctx.sc.Scenario.seed ~moves:[||]
+      ~step:(Algorithm1.step st) ()
   in
-  c.c_replayed_steps <- c.c_replayed_steps + stats.Engine.executed;
-  (st, stats, fired)
+  (st, stats)
+
+(* The one tick [Engine.run_pinned] would run at time [ticks_used]:
+   the pinned process, if alive then, calls [step] once; nobody else
+   runs. *)
+let derive ~fp st (stats : Engine.stats) mv =
+  let t = stats.Engine.ticks_used in
+  let st = Algorithm1.copy st in
+  let steps = Array.copy stats.Engine.steps in
+  let fired =
+    match mv with
+    | Step p ->
+        Pset.mem p (Failure_pattern.alive_at fp t)
+        && Algorithm1.step st ~pid:p ~time:t
+        && begin
+             steps.(p) <- steps.(p) + 1;
+             true
+           end
+    | Idle -> false
+  in
+  let executed = stats.Engine.executed + Bool.to_int fired in
+  (st, { stats with Engine.steps; executed; ticks_used = t + 1 }, fired)
 
 let snapshot_of st =
   List.map
@@ -265,12 +284,12 @@ let check_terminal ctx c tbl st stats path =
 (* ------------------------------------------------------------------ *)
 
 (* Probe the children of a node: for every alive, hint-enabled process
-   replay prefix+[Step p] and keep the ones whose move actually fired
-   (the replayed child state rides along, so expansion and probing are
+   derive the child of [Step p] and keep the ones whose move actually
+   fired (the child state rides along, so expansion and probing are
    one pass). POR then restricts the fired set to the interaction
    component with the fewest enabled processes (persistent set), and
    an [Idle] child is prepended while the clock is not steady. *)
-let candidates ctx c ~path ~st ~t =
+let candidates ctx c ~st ~stats ~t =
   let alive = Failure_pattern.alive_at ctx.fp t in
   let hinted =
     List.filter
@@ -280,8 +299,11 @@ let candidates ctx c ~path ~st ~t =
   let probes =
     List.filter_map
       (fun p ->
-        let st', stats', fired = replay ctx c (path @ [ Step p ]) in
-        if t < Array.length fired && fired.(t) then Some (p, st', stats')
+        let st', stats', fired = derive ~fp:ctx.fp st stats (Step p) in
+        if fired then begin
+          c.c_replayed_steps <- c.c_replayed_steps + 1;
+          Some (p, st', stats')
+        end
         else None)
       hinted
   in
@@ -315,7 +337,7 @@ let candidates ctx c ~path ~st ~t =
     (* An idle tick is also a candidate while an announcement copy is
        still in flight: its arrival enables guards by time alone. *)
     if t < ctx.t_steady || t < Algorithm1.visibility_horizon st then begin
-      let st', stats', _ = replay ctx c (path @ [ Idle ]) in
+      let st', stats', _ = derive ~fp:ctx.fp st stats Idle in
       [ (Idle, st', stats') ]
     end
     else []
@@ -367,7 +389,7 @@ and visit_live ctx c cache_tbl vt ~path ~st ~stats ~sleep ~t ~remaining =
     if check_safety vt o path then () (* violating subtree pruned *)
     else if remaining = 0 then c.c_truncated <- c.c_truncated + 1
     else
-      match candidates ctx c ~path ~st ~t with
+      match candidates ctx c ~st ~stats ~t with
       | [] ->
           c.c_terminals <- c.c_terminals + 1;
           check_terminal ctx c vt st stats path
@@ -450,7 +472,7 @@ let run ?(por = true) ?(cache = true) ?(claims = false) ?(stop_on_first = false)
   in
   let rootc = fresh_acc () in
   let viols = Hashtbl.create 16 in
-  let st0, stats0, _ = replay ctx rootc [] in
+  let st0, stats0 = replay ctx in
   rootc.c_nodes <- 1;
   let o0 = outcome_of ctx st0 stats0 ~snapshots:[] in
   let root_bad = check_safety viols o0 [] in
@@ -461,7 +483,7 @@ let run ?(por = true) ?(cache = true) ?(claims = false) ?(stop_on_first = false)
       [||]
     end
     else
-      match candidates ctx rootc ~path:[] ~st:st0 ~t:0 with
+      match candidates ctx rootc ~st:st0 ~stats:stats0 ~t:0 with
       | [] ->
           rootc.c_terminals <- 1;
           check_terminal ctx rootc viols st0 stats0 [];

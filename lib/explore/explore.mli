@@ -4,11 +4,12 @@
     The explorer enumerates schedules of the deterministic simulation:
     a schedule is a sequence of moves, one per engine tick, each either
     [Step p] (tick [t] schedules exactly process [p]) or [Idle] (nobody
-    runs, the clock advances). Every node of the search tree is
-    reconstructed by replaying its move prefix from the initial state
-    through {!Engine.run_pinned}, so the frontier needs no state
-    snapshots and every reported witness is replayable by construction
-    (as a {!Scenario.Pinned} schedule).
+    runs, the clock advances). The root is the initial state; every
+    other node is derived from a copy of its parent's state plus one
+    pinned tick ({!derive}), which equals replaying the node's move
+    prefix from the initial state through {!Engine.run_pinned}. The
+    prefix rides along, so every reported witness is a
+    {!Scenario.Pinned} schedule that replays from scratch.
 
     Time handling: [Idle] moves are offered only while [t < t_steady]
     ({!steady_time}) — the first tick from which every time-dependent
@@ -72,7 +73,10 @@ type counters = {
   cache_hits : int;  (** revisits pruned by the visited-state cache *)
   sleep_skips : int;  (** enabled moves suppressed by sleep sets *)
   por_skips : int;  (** enabled moves outside the persistent set *)
-  replayed_steps : int;  (** total protocol actions executed by replays *)
+  replayed_steps : int;
+      (** protocol actions executed by child derivations (at most one
+          per derived child) and by the [~claims] re-replays of
+          terminals *)
   distinct_states : int;
       (** fingerprints cached, summed per root branch; [0] with the
           cache ablated *)
@@ -92,6 +96,20 @@ type report = {
       (** one per failing property, shortest witness first found at
           that length, sorted by property name *)
 }
+
+val derive :
+  fp:Failure_pattern.t ->
+  Algorithm1.t ->
+  Engine.stats ->
+  move ->
+  Algorithm1.t * Engine.stats * bool
+(** [derive ~fp st stats mv]: the child of the node reached by a pinned
+    prefix whose run left state [st] and stats [stats]. It runs the
+    tick at time [stats.ticks_used] on a copy of [st]: for [Step p]
+    with [p] alive then (under [fp]), one {!Algorithm1.step}; nobody
+    for [Idle]. Returns the child state, the stats and whether the move
+    fired — what {!Engine.run_pinned} of the prefix plus [mv] returns.
+    [st] is left unchanged. *)
 
 val steady_time : Scenario.t -> int
 (** First tick from which every guard of the configuration is

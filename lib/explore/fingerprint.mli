@@ -34,4 +34,7 @@ val render : time:int -> topo:Topology.t -> msgs:int -> Algorithm1.t -> string
     workload size [K] (message ids are [0 .. K-1]). *)
 
 val of_state : time:int -> topo:Topology.t -> msgs:int -> Algorithm1.t -> t
-(** [Digest] of {!render}. Does not mutate the state. *)
+(** [Digest] of {!render}. Does not mutate the state. The rendering
+    writes digits straight into one buffer and reads delivery orders
+    from one walk over the events, with no trace index — the explorer
+    computes it at every node it visits. *)

@@ -1,6 +1,7 @@
 type ('k, 'v) t = ('k, 'v) Hashtbl.t
 
 let create () = Hashtbl.create 64
+let copy = Hashtbl.copy
 
 let propose t key v =
   match Hashtbl.find_opt t key with

@@ -10,6 +10,10 @@ type ('k, 'v) t
 
 val create : unit -> ('k, 'v) t
 
+val copy : ('k, 'v) t -> ('k, 'v) t
+(** An independent table with the same decisions: later proposals to
+    either leave the other unchanged. *)
+
 val propose : ('k, 'v) t -> 'k -> 'v -> 'v
 (** [propose t key v] decides [v] if the instance [key] is undecided,
     and returns the decided value of the instance. *)

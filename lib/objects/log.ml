@@ -108,6 +108,24 @@ let sorted_index log =
 
 let entries log = List.map fst (sorted_index log)
 
+let snapshot log =
+  List.map (fun (d, e) -> (d, e.position, e.is_locked)) (sorted_index log)
+
+(* Fresh entry records: [table] and [rev_index] share each record, and
+   a reused one would let a bump in the copy move the original's datum
+   too. *)
+let copy log =
+  let table = Hashtbl.create (Hashtbl.length log.table) in
+  let rev_index =
+    List.map
+      (fun (d, e) ->
+        let e = { position = e.position; is_locked = e.is_locked } in
+        Hashtbl.replace table d e;
+        (d, e))
+      log.rev_index
+  in
+  { log with table; rev_index; sorted = []; sorted_valid = false }
+
 (* Strict predecessors are a prefix of the ascending index: walk it and
    stop at the first datum not below [d] — O(predecessors), not
    O(|log| log |log|). *)

@@ -47,6 +47,15 @@ val entries : 'a t -> 'a list
     [bump_and_lock], and only rebuilt (one list reversal) on the first
     read after a mutation. *)
 
+val snapshot : 'a t -> ('a * int * bool) list
+(** Every datum with its position and lock, in log order: [entries]
+    paired with [pos] and [locked], read off the sorted index without a
+    table lookup per datum. *)
+
+val copy : 'a t -> 'a t
+(** An independent log with the same entries, positions and locks:
+    later operations on either leave the other unchanged. *)
+
 val before : 'a t -> 'a -> 'a list
 (** All data strictly smaller than the given datum (which must be
     present) in the log order. O(predecessors). *)

@@ -96,8 +96,10 @@ let run ~fp ~horizon ?(quiesce_after = 0) ?(live_until = fun () -> 0)
    and the per-tick draw discipline are exactly those of a free run;
    the shuffle of a singleton (or empty) scheduled set is
    order-trivial, making pinned runs independent of [seed]. The
-   explorer (lib/explore) replays its DFS frontier through this
-   entry point instead of snapshotting simulator state. *)
+   explorer (lib/explore) derives each child from a copy of its
+   parent plus the one tick this function would run; it re-replays
+   [--claims] terminals through this entry point, and its tests take
+   it as the reference for derived children. *)
 let run_pinned ~fp ?(seed = 1) ?(on_tick = fun (_ : int) -> ())
     ~(moves : int option array) ~step () =
   let d = Array.length moves in

@@ -74,5 +74,6 @@ val run_pinned :
     is no [enabled] hint: the pinned process's [step] is always called,
     and its result alone decides the flag. Pinned runs are deterministic and independent of [seed]: a scheduled set
     of at most one element leaves nothing for the per-tick shuffle to
-    permute. This is the replay primitive of the systematic explorer
-    (lib/explore). *)
+    permute. This is the reference replay of the systematic explorer
+    (lib/explore): its [~claims] terminals are re-replayed through it,
+    and a derived child must equal the pinned run of its prefix. *)

@@ -27,23 +27,50 @@ let always_gamma_sc =
     ~n:6
     [ g [ 0; 2 ]; g [ 2; 4 ]; g [ 0; 4; 5 ] ]
 
+(* Message i goes to group i mod G from its smallest member at t=0 —
+   the workload `amcast_cli explore` builds, and the end-to-end
+   benchmark's explore configs. *)
+let config ?(crashes = []) ?(faults = Channel_fault.none)
+    ?(variant = Algorithm1.Vanilla) topo ~msgs =
+  let groups = List.map (Topology.group topo) (Topology.gids topo) in
+  let msgs =
+    List.init msgs (fun i ->
+        let g = i mod List.length groups in
+        (Pset.choose (List.nth groups g), g, 0))
+  in
+  Scenario.make ~crashes ~msgs ~faults ~variant ~max_delay:1
+    ~n:(Topology.n topo) groups
+
+let stubborn ~drop ~delay = { Channel_fault.drop; dup = 0; delay; stubborn = true }
+
+(* State, stats and fired flags of [moves] pinned from the initial
+   state, which is built the way the explorer builds its root (for
+   scenarios without a detector ablation). *)
+let pinned sc moves =
+  let topo = Scenario.topology sc in
+  let fp = Scenario.failure_pattern sc in
+  let mu =
+    Mu.make ~max_delay:sc.Scenario.max_delay ~seed:sc.Scenario.seed topo fp
+  in
+  let st =
+    Algorithm1.create ~variant:sc.Scenario.variant ~faults:sc.Scenario.faults
+      ~fault_seed:sc.Scenario.seed ~topo ~mu ~workload:(Scenario.workload sc) ()
+  in
+  let stats, fired =
+    Engine.run_pinned ~fp ~seed:sc.Scenario.seed
+      ~moves:
+        (Array.of_list
+           (List.map (function Explore.Step p -> Some p | Explore.Idle -> None) moves))
+      ~step:(Algorithm1.step st) ()
+  in
+  (st, stats, fired)
+
 (* Replay a pinned move prefix exactly as the explorer does, returning
    the canonical fingerprint rendering of the resulting state. *)
 let render_after sc moves =
-  let topo = Scenario.topology sc in
-  let fp = Scenario.failure_pattern sc in
-  let workload = Scenario.workload sc in
-  let mu = Mu.make ~max_delay:sc.Scenario.max_delay ~seed:sc.Scenario.seed topo fp in
-  let st =
-    Algorithm1.create ~variant:sc.Scenario.variant ~topo ~mu ~workload ()
-  in
-  let _stats, fired =
-    Engine.run_pinned ~fp ~seed:sc.Scenario.seed
-      ~moves:(Array.map (fun p -> Some p) (Array.of_list moves))
-      ~step:(Algorithm1.step st) ()
-  in
-  ( Fingerprint.render ~time:(Explore.steady_time sc) ~topo
-      ~msgs:(List.length sc.Scenario.msgs) st,
+  let st, _, fired = pinned sc (List.map (fun p -> Explore.Step p) moves) in
+  ( Fingerprint.render ~time:(Explore.steady_time sc)
+      ~topo:(Scenario.topology sc) ~msgs:(List.length sc.Scenario.msgs) st,
     Array.for_all Fun.id fired )
 
 (* POR soundness at the engine level: stepping two non-interacting
@@ -244,41 +271,253 @@ let corpus_reverify () =
     failing
 
 (* Exhaustive search under channel faults, where POR is off and the
-   enablement hint decides which probes are replayed: the three
-   explore-faults configs of the end-to-end benchmark (message i to
-   group i mod G from its smallest member at t=0) at default depth.
-   The counts pin how much the search covers — a hint that wrongly
-   rules a process out shrinks them without reporting anything. A
-   change that alters the search on purpose updates them and says why. *)
+   enablement hint decides which children are derived: the three
+   explore-faults configs of the end-to-end benchmark at default
+   depth. The counts pin how much the search covers — a hint that
+   wrongly rules a process out shrinks them without reporting
+   anything. Replayed steps pin that a child costs at most its one
+   pinned action: replaying each child's prefix from the initial state
+   executed 9,960, 40,148 and 108,099. A change that alters the search
+   on purpose updates them and says why. *)
 let explore_under_faults () =
-  let config name topo ~msgs ~drop ~delay ~expect:(nodes, terminals, distinct) =
-    let groups = List.map (Topology.group topo) (Topology.gids topo) in
-    let msgs =
-      List.init msgs (fun i ->
-          let g = i mod List.length groups in
-          (Pset.choose (List.nth groups g), g, 0))
-    in
-    let faults = { Channel_fault.drop; dup = 0; delay; stubborn = true } in
-    let sc =
-      Scenario.make ~msgs ~faults ~max_delay:1 ~n:(Topology.n topo) groups
-    in
+  let config name topo ~msgs ~drop ~delay
+      ~expect:(nodes, terminals, distinct, replayed) =
+    let sc = config topo ~msgs ~faults:(stubborn ~drop ~delay) in
     let r = Explore.run sc in
     let c = r.Explore.counters in
     Alcotest.(check (list string)) (name ^ ": no violation") []
       (Explore.failing_properties r);
     Alcotest.(check bool) (name ^ ": por off under faults") false r.Explore.por;
     Alcotest.(check (list int))
-      (name ^ ": nodes, terminals, distinct states")
-      [ nodes; terminals; distinct ]
-      [ c.Explore.nodes; c.Explore.terminals; c.Explore.distinct_states ]
+      (name ^ ": nodes, terminals, distinct states, replayed steps")
+      [ nodes; terminals; distinct; replayed ]
+      [
+        c.Explore.nodes;
+        c.Explore.terminals;
+        c.Explore.distinct_states;
+        c.Explore.replayed_steps;
+      ]
   in
   config "chain-2-K1" (Topology.chain ~groups:2) ~msgs:1 ~drop:3000 ~delay:1
-    ~expect:(1170, 4, 488);
+    ~expect:(1170, 4, 488, 1162);
   config "ring-3-K1" (Topology.ring ~groups:3) ~msgs:1 ~drop:3000 ~delay:2
-    ~expect:(3445, 24, 1584);
+    ~expect:(3445, 24, 1584, 3421);
   config "disjoint-2x2-K2"
     (Topology.disjoint ~groups:2 ~size:2)
-    ~msgs:2 ~drop:1000 ~delay:1 ~expect:(9033, 4, 2807)
+    ~msgs:2 ~drop:1000 ~delay:1 ~expect:(9033, 4, 2807, 9005)
+
+(* ------------------------------------------------------------------ *)
+(* Derived children                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The walk inputs: the eight end-to-end explore configs, ring-3 under
+   the other two variants, a lossy non-stubborn spec (copies get lost
+   for good) and a six-message config whose logs pass position 9. *)
+let walk_configs =
+  [
+    ("chain-2-K1 faults", config (Topology.chain ~groups:2) ~msgs:1
+       ~faults:(stubborn ~drop:3000 ~delay:1));
+    ("ring-3-K1 faults", config (Topology.ring ~groups:3) ~msgs:1
+       ~faults:(stubborn ~drop:3000 ~delay:2));
+    ("disjoint-2x2-K2 faults", config (Topology.disjoint ~groups:2 ~size:2)
+       ~msgs:2 ~faults:(stubborn ~drop:1000 ~delay:1));
+    ("chain-3-K1", config (Topology.chain ~groups:3) ~msgs:1);
+    ("ring-3-K1-crash-1@2", config (Topology.ring ~groups:3) ~msgs:1
+       ~crashes:[ (1, 2) ]);
+    ("disjoint-2x3-K2", config (Topology.disjoint ~groups:2 ~size:3) ~msgs:2);
+    ("star-3-K1", config (Topology.star ~satellites:3 ~hub_size:3) ~msgs:1);
+    ("figure1-K2", config Topology.figure1 ~msgs:2);
+    ("ring-3-K2 strict", config (Topology.ring ~groups:3) ~msgs:2
+       ~variant:Algorithm1.Strict);
+    ("ring-3-K2 pairwise", config (Topology.ring ~groups:3) ~msgs:2
+       ~variant:Algorithm1.Pairwise);
+    ("ring-3-K2 lossy", config (Topology.ring ~groups:3) ~msgs:2
+       ~faults:{ Channel_fault.drop = 3000; dup = 1000; delay = 2; stubborn = false });
+    ("ring-3-K6", config (Topology.ring ~groups:3) ~msgs:6);
+  ]
+
+(* One seeded random walk: [default_depth] moves, each drawn uniformly
+   from [Idle] and [Step p] for every process — crashed and
+   hint-disabled ones included, so non-firing moves are walked too. *)
+let walk_moves sc ~seed =
+  let rng = Rng.make seed in
+  let n = sc.Scenario.n in
+  List.init (Explore.default_depth sc) (fun _ ->
+      let p = Rng.int rng (n + 1) in
+      if p = n then Explore.Idle else Explore.Step p)
+
+let walks = 4
+
+(* Every move of every walk: [f] sees the parent's state and stats, the
+   prefix ending in the move, and a thunk deriving the child, which it
+   calls and returns. The walk goes on from that child. *)
+let iter_walks f =
+  List.iter
+    (fun (name, sc) ->
+      let fp = Scenario.failure_pattern sc in
+      for seed = 1 to walks do
+        let st, stats, _ = pinned sc [] in
+        ignore
+          (List.fold_left
+             (fun (st, stats, prefix) mv ->
+               let prefix = prefix @ [ mv ] in
+               let st', stats', _ =
+                 f ~name ~sc ~prefix st stats (fun () ->
+                     Explore.derive ~fp st stats mv)
+               in
+               (st', stats', prefix))
+             (st, stats, []) (walk_moves sc ~seed))
+      done)
+    walk_configs
+
+(* Alcotest.check, logged only on a failure: the walks make thousands
+   of comparisons. *)
+let expect testable label a b =
+  if not (Alcotest.equal testable a b) then Alcotest.check testable label a b
+
+let render_raw sc st (stats : Engine.stats) =
+  Fingerprint.render ~time:stats.Engine.ticks_used
+    ~topo:(Scenario.topology sc) ~msgs:(List.length sc.Scenario.msgs) st
+
+let events st = (Algorithm1.trace st).Trace.events
+
+(* A derived child equals the state, stats and fired flag that
+   Engine.run_pinned of the prefix plus the move returns, and deriving
+   leaves the parent as it was. *)
+let derived_equals_replayed () =
+  let checked = ref 0 and fired_moves = ref 0 in
+  iter_walks (fun ~name ~sc ~prefix st stats derive ->
+      let parent_render = render_raw sc st stats and parent_events = events st in
+      let ((st', stats', fired) as child) = derive () in
+      let at what =
+        Printf.sprintf "%s, prefix %s: %s" name (Explore.moves_to_string prefix)
+          what
+      in
+      expect Alcotest.string (at "parent render unchanged") parent_render
+        (render_raw sc st stats);
+      expect Alcotest.bool (at "parent events unchanged") true
+        (parent_events = events st);
+      let st_r, stats_r, fired_r = pinned sc prefix in
+      expect Alcotest.string (at "render") (render_raw sc st_r stats_r)
+        (render_raw sc st' stats');
+      expect Alcotest.bool (at "events") true (events st_r = events st');
+      expect Alcotest.bool (at "stats") true (stats_r = stats');
+      expect Alcotest.bool (at "fired") fired_r.(List.length prefix - 1) fired;
+      expect Alcotest.(list int) (at "instances, rounds")
+        [ Algorithm1.consensus_instances st_r; Algorithm1.consensus_rounds st_r ]
+        [ Algorithm1.consensus_instances st'; Algorithm1.consensus_rounds st' ];
+      expect Alcotest.bool (at "link stats") true
+        (Algorithm1.link_stats st_r = Algorithm1.link_stats st');
+      incr checked;
+      if fired then incr fired_moves;
+      child);
+  Alcotest.(check bool)
+    (Printf.sprintf "walks fire and idle (%d of %d moves fired)" !fired_moves
+       !checked)
+    true
+    (!fired_moves > 0 && !fired_moves < !checked)
+
+(* The Printf renderer the fingerprints were first defined by, kept as
+   the reference: Fingerprint.render must produce the same bytes, so
+   the visited cache sees the same keys. *)
+let printf_render ~time ~topo ~msgs st =
+  let datum_tag b d =
+    match d with
+    | Algorithm1.Msg m -> Printf.ksprintf (Buffer.add_string b) "m%d" m
+    | Algorithm1.Pend (m, h, i) ->
+        Printf.ksprintf (Buffer.add_string b) "p%d.%d.%d" m h i
+    | Algorithm1.Stab (m, h) ->
+        Printf.ksprintf (Buffer.add_string b) "s%d.%d" m h
+  in
+  let b = Buffer.create 512 in
+  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  add "t%d" time;
+  List.iter
+    (fun ((g, h) as key) ->
+      add "|L%d.%d:" g h;
+      List.iter
+        (fun (d, pos, locked) ->
+          datum_tag b d;
+          add "@%d%c;" pos (if locked then '!' else '.'))
+        (Algorithm1.log_snapshot st key))
+    (Algorithm1.log_keys st);
+  List.iter
+    (fun g ->
+      add "|S%d:%s" g
+        (String.concat ","
+           (List.map string_of_int (Algorithm1.list_snapshot st g))))
+    (Topology.gids topo);
+  for m = 0 to msgs - 1 do
+    add "|i%d%c" m (if Algorithm1.listed st ~m then 'y' else 'n')
+  done;
+  List.iter
+    (fun ((m, fam), v) ->
+      add "|C%d.%s=%d" m (String.concat "." (List.map string_of_int fam)) v)
+    (Algorithm1.consensus_decisions st);
+  (if not (Channel_fault.is_none (Algorithm1.channel_faults st)) then
+     let n = Topology.n topo in
+     for p = 0 to n - 1 do
+       for m = 0 to msgs - 1 do
+         match Algorithm1.visibility st ~pid:p ~m ~time with
+         | `Visible -> ()
+         | `Pending d -> add "|v%d.%d+%d" p m d
+         | `Lost -> add "|v%d.%d x" p m
+       done
+     done);
+  let tr = Algorithm1.trace st in
+  for p = 0 to tr.Trace.n - 1 do
+    add "|f%d:" p;
+    for m = 0 to msgs - 1 do
+      add "%d" (Trace.phase_rank (Algorithm1.phase st ~pid:p ~m))
+    done;
+    add "|D%d:%s" p
+      (String.concat "," (List.map string_of_int (Trace.delivery_order tr p)))
+  done;
+  Buffer.contents b
+
+(* Fingerprint.render = the Printf reference on every walked state, at
+   the raw and at the steady-time cut. The walks must reach two-digit
+   times and log positions, and pending and lost announcement copies,
+   so every kind of field is rendered with more than one digit or
+   marker. *)
+let render_matches_printf () =
+  let max_time = ref 0 and max_pos = ref 0 in
+  let pending = ref 0 and lost = ref 0 in
+  iter_walks (fun ~name ~sc ~prefix:_ _ _ derive ->
+      let ((st, stats, _) as child) = derive () in
+      let topo = Scenario.topology sc and msgs = List.length sc.Scenario.msgs in
+      List.iter
+        (fun time ->
+          expect Alcotest.string
+            (Printf.sprintf "%s at t%d" name time)
+            (printf_render ~time ~topo ~msgs st)
+            (Fingerprint.render ~time ~topo ~msgs st))
+        [ stats.Engine.ticks_used; min stats.Engine.ticks_used (Explore.steady_time sc) ];
+      max_time := max !max_time stats.Engine.ticks_used;
+      List.iter
+        (fun key ->
+          List.iter
+            (fun (_, pos, _) -> max_pos := max !max_pos pos)
+            (Algorithm1.log_snapshot st key))
+        (Algorithm1.log_keys st);
+      for p = 0 to Topology.n topo - 1 do
+        for m = 0 to msgs - 1 do
+          match Algorithm1.visibility st ~pid:p ~m ~time:stats.Engine.ticks_used with
+          | `Visible -> ()
+          | `Pending _ -> incr pending
+          | `Lost -> incr lost
+        done
+      done;
+      child);
+  Alcotest.(check bool) (Printf.sprintf "two-digit times (max %d)" !max_time) true
+    (!max_time >= 10);
+  Alcotest.(check bool)
+    (Printf.sprintf "two-digit log positions (max %d)" !max_pos)
+    true (!max_pos >= 10);
+  Alcotest.(check bool)
+    (Printf.sprintf "pending (%d) and lost (%d) copies rendered" !pending !lost)
+    true
+    (!pending > 0 && !lost > 0)
 
 let suite =
   let t = Alcotest.test_case in
@@ -293,4 +532,6 @@ let suite =
     t "pinned codec round-trip" `Quick pinned_codec;
     t "corpus findings re-verified exhaustively" `Quick corpus_reverify;
     t "fault configs: pinned counts" `Quick explore_under_faults;
+    t "derived children = replayed prefixes" `Quick derived_equals_replayed;
+    t "render = Printf reference" `Quick render_matches_printf;
   ]

@@ -100,6 +100,68 @@ let log_index_matches_naive =
                naive)
         ops)
 
+(* Seeded random [append] / [bump_and_lock] sequences over data 0..8,
+   drawn as in the laws above: [k = 0] or an absent datum appends,
+   anything else bumps to [k]. [after_op] sees the log after each
+   operation. *)
+let random_log ?(after_op = ignore) seed =
+  let rng = Rng.make seed in
+  let l = Log.create ~compare:Int.compare in
+  for _ = 1 to Rng.int rng 24 do
+    let d = Rng.int rng 9 and k = Rng.int rng 11 in
+    (if k = 0 || not (Log.mem l d) then ignore (Log.append l d)
+     else Log.bump_and_lock l d k);
+    after_op l
+  done;
+  l
+
+let log_snapshot () =
+  for seed = 1 to 200 do
+    ignore
+      (random_log seed ~after_op:(fun l ->
+           Alcotest.(check (list (triple int int bool)))
+             (Printf.sprintf "seed %d" seed)
+             (List.map (fun d -> (d, Log.pos l d, Log.locked l d)) (Log.entries l))
+             (Log.snapshot l)))
+  done
+
+(* What a reader can observe of a log: its entries with positions and
+   locks, its head, and for every datum whether all its predecessors
+   are smaller data (a walk whose answer depends on the order). *)
+let log_view l =
+  ( Log.snapshot l,
+    Log.head l,
+    List.map
+      (fun d -> Log.forall_before l d (fun d' -> d' < d))
+      (Log.entries l) )
+
+(* Mutating either side of a copy leaves the other side's view as it
+   was. The mutation appends and then raises a fresh, unlocked datum
+   above the head, so the bump repositions it in the sorted index. *)
+let log_copy_independent () =
+  let check_view = Alcotest.(check (triple (list (triple int int bool)) int (list bool))) in
+  for seed = 1 to 100 do
+    List.iter
+      (fun mutate_copy ->
+        let l = random_log seed in
+        ignore (Log.append l 50);
+        let c = Log.copy l in
+        check_view (Printf.sprintf "seed %d: copy equals original" seed)
+          (log_view l) (log_view c);
+        let kept, mutated = if mutate_copy then (l, c) else (c, l) in
+        let before = log_view kept in
+        ignore (Log.append mutated 60);
+        Log.bump_and_lock mutated 50 (Log.head mutated + 1);
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d: 50 repositioned above 60" seed)
+          true (Log.lt mutated 60 50);
+        check_view
+          (Printf.sprintf "seed %d: %s unchanged" seed
+             (if mutate_copy then "original" else "copy"))
+          before (log_view kept))
+      [ true; false ]
+  done
+
 (* -------------------- consensus objects --------------------------- *)
 
 let consensus_table () =
@@ -109,6 +171,27 @@ let consensus_table () =
   Alcotest.(check (option int)) "decided" (Some 5) (Consensus_table.decided c "k");
   Alcotest.(check (option int)) "other instance" None (Consensus_table.decided c "k2");
   Alcotest.(check int) "instances" 1 (Consensus_table.instances c)
+
+let consensus_copy_independent () =
+  let view t =
+    Consensus_table.decisions t ~cmp:(fun (k, _) (k', _) -> String.compare k k')
+  in
+  List.iter
+    (fun mutate_copy ->
+      let t = Consensus_table.create () in
+      ignore (Consensus_table.propose t "a" 1);
+      let c = Consensus_table.copy t in
+      let kept, mutated = if mutate_copy then (t, c) else (c, t) in
+      ignore (Consensus_table.propose mutated "b" 2);
+      Alcotest.(check (list (pair string int))) "other side unchanged"
+        [ ("a", 1) ] (view kept);
+      Alcotest.(check int) "other side's instances" 1
+        (Consensus_table.instances kept);
+      Alcotest.(check (list (pair string int))) "mutated side decided"
+        [ ("a", 1); ("b", 2) ] (view mutated);
+      Alcotest.(check int) "decided value survives in both" 1
+        (Consensus_table.propose kept "a" 9))
+    [ true; false ]
 
 let adopt_commit_spec () =
   let ac = Adopt_commit.create () in
@@ -192,7 +275,10 @@ let suite =
     t "log basics" `Quick log_basics;
     t "log bump and lock" `Quick log_bump;
     t "log slot sharing" `Quick log_slot_sharing;
+    t "log snapshot = entries with pos and lock" `Quick log_snapshot;
+    t "log copy is independent" `Quick log_copy_independent;
     t "consensus table" `Quick consensus_table;
+    t "consensus table copy is independent" `Quick consensus_copy_independent;
     t "adopt-commit spec" `Quick adopt_commit_spec;
     t "engine determinism" `Quick engine_determinism;
     t "engine crash & schedule" `Quick engine_crash_and_schedule;
