@@ -9,7 +9,9 @@
    Table 2 (Claims_ref.all against Claims.all) on runs with per-tick
    snapshots recorded, and the [strict-] cases run the Strict variant,
    so that its [strict_ordering] is timed too; every other case runs
-   Vanilla. The indexed side is timed on a fresh trace every
+   Vanilla. [claims-ring-8-faults] is the e2e ring-faults-claims shape:
+   a crash and lossy stubborn links; every other case is failure- and
+   fault-free. The indexed side is timed on a fresh trace every
    run so the lazily-built Trace index is rebuilt inside the measured
    region — the speedup column is end-to-end, not amortized. Each case
    also records whether the two checkers agreed verdict-for-verdict;
@@ -25,6 +27,8 @@ type case = {
   workload : Workload.t;
   variant : Algorithm1.variant;
   claims : bool;  (** Table 2 instead of the multicast properties *)
+  fp : Failure_pattern.t;
+  faults : Channel_fault.spec;
 }
 
 let variant_name = function
@@ -53,6 +57,34 @@ let mk_case ?(variant = Algorithm1.Vanilla) ~claims shape groups k =
     workload = Scaling.workload_k ~per_group:k topo;
     variant;
     claims;
+    fp = Failure_pattern.never ~n:(Topology.n topo);
+    faults = Channel_fault.none;
+  }
+
+(* The first scenario of the e2e ring-faults-claims workload at seed 1
+   (scenario seed 10,000): ring-8, open-loop load at 2 messages per
+   tick for 12 ticks, each sourced by its group's smallest member, p11
+   crashing at tick 5, and drop 20%, dup 5%, delay 3 on stubborn
+   links. *)
+let faults_case =
+  let topo = Topology.ring ~groups:8 in
+  let reqs =
+    Loadgen.open_loop ~rng:(Rng.make 10_000) ~rate_pct:200 ~skew_pct:0
+      ~duration:12 topo
+  in
+  let source { Workload.msg; at } =
+    let src = Pset.choose (Topology.group topo msg.Amsg.dst) in
+    { Workload.msg = Amsg.make ~id:msg.Amsg.id ~src ~dst:msg.Amsg.dst topo; at }
+  in
+  {
+    name = "claims-ring-8-faults";
+    topo;
+    workload = List.map source reqs;
+    variant = Algorithm1.Vanilla;
+    claims = true;
+    fp = Failure_pattern.of_crashes ~n:(Topology.n topo) [ (11, 5) ];
+    faults =
+      { Channel_fault.drop = 2000; dup = 500; delay = 3; stubborn = true };
   }
 
 (* The reference checker is quadratic in messages with an O(|events|)
@@ -80,6 +112,7 @@ let cases ~smoke =
         mk_case ~variant:Algorithm1.Strict ~claims:false `Ring g k)
       strict
   @ List.map (fun (shape, g) -> mk_case ~claims:true shape g 4) claims
+  @ [ faults_case ]
 
 type result = {
   case : case;
@@ -102,10 +135,9 @@ let render verdicts =
        verdicts)
 
 let measure ~quota_ms c =
-  let fp = Failure_pattern.never ~n:(Topology.n c.topo) in
   let o =
-    Runner.run ~variant:c.variant ~seed:1 ~record_snapshots:c.claims
-      ~topo:c.topo ~fp ~workload:c.workload ()
+    Runner.run ~variant:c.variant ~seed:1 ~faults:c.faults
+      ~record_snapshots:c.claims ~topo:c.topo ~fp:c.fp ~workload:c.workload ()
   in
   let reference, indexed =
     if c.claims then (Claims_ref.all, Claims.all)

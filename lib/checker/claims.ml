@@ -10,8 +10,6 @@ let compare_key (g, h) (g', h') =
 
 let pp_d = Algorithm1.pp_datum
 
-let same d d' = Algorithm1.compare_datum d d' = 0
-
 (* d <_L d' over snapshot entries: by position, ties by the a-priori
    datum order (the implementation's Algorithm1.compare_datum). *)
 let snap_lt (d, pos, _) (d', pos', _) =
@@ -19,135 +17,216 @@ let snap_lt (d, pos, _) (d', pos', _) =
 
 type entry = Algorithm1.datum * int * bool
 
-let equal_log =
-  List.equal (fun (d, pos, locked) (d', pos', locked') ->
-      same d d' && pos = pos' && Bool.equal locked locked')
-
-(* One log in two consecutive snapshots [a] and [b]. [in_a] and [in_b]
-   look a datum up in either and return its first entry, as a scan of
-   the list would. *)
-type log_pair = {
-  la : entry list;
-  lb : entry list;
-  in_a : Algorithm1.datum -> entry option;
-  in_b : Algorithm1.datum -> entry option;
+(* One snapshot of one log, as arrays. [rank.(i)] is entry [i]'s rank
+   under <_L and [by_rank] its inverse; [other.(i)] is the index of the
+   same datum in the other snapshot of the pair, or -1. *)
+type side = {
+  es : entry array;
+  rank : int array;
+  by_rank : int array;
+  other : int array;
 }
 
-let index entries =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun ((d, _, _) as e) -> if not (Hashtbl.mem tbl d) then Hashtbl.add tbl d e)
-    entries;
-  Hashtbl.find_opt tbl
+let datum ((d, _, _) : entry) = d
+let pos ((_, p, _) : entry) = p
+let locked ((_, _, l) : entry) = l
 
-(* [check] on each element in order, stopping at the first failure. *)
-let rec first l check =
-  match l with
-  | [] -> Ok ()
-  | e :: rest ->
-      let* () = check e in
-      first rest check
+(* A list in log order, as every [Log] snapshot is, ranks by its
+   indices; any other is sorted once. *)
+let side_of l =
+  let es = Array.of_list l in
+  let n = Array.length es in
+  let in_order = ref true in
+  for i = 1 to n - 1 do
+    if not (snap_lt es.(i - 1) es.(i)) then in_order := false
+  done;
+  let by_rank = Array.init n Fun.id in
+  if not !in_order then
+    Array.stable_sort
+      (fun i j ->
+        if snap_lt es.(i) es.(j) then -1
+        else if snap_lt es.(j) es.(i) then 1
+        else 0)
+      by_rank;
+  let rank = Array.make n 0 in
+  Array.iteri (fun r i -> rank.(i) <- r) by_rank;
+  { es; rank; by_rank; other = Array.make n (-1) }
 
-(* Claims 2–8 on one log pair. Each scans the entries in list order
-   and reports the first that breaks its law. *)
+(* Join the two snapshots by datum. A tick keeps every entry in order
+   but the bumped ones, so each lookup scans forward from just after
+   the previous match, wrapping round once. *)
+let join la lb =
+  let a = side_of la and b = side_of lb in
+  let nb = Array.length b.es in
+  let cursor = ref 0 in
+  Array.iteri
+    (fun i e ->
+      let d = datum e in
+      let rec find k =
+        if k = nb then ()
+        else
+          let j = if !cursor + k < nb then !cursor + k else !cursor + k - nb in
+          if Algorithm1.compare_datum (datum b.es.(j)) d = 0 then begin
+            a.other.(i) <- j;
+            b.other.(j) <- i;
+            cursor := if j + 1 = nb then 0 else j + 1
+          end
+          else find (k + 1)
+      in
+      find 0)
+    a.es;
+  (a, b)
 
-let law2 p =
-  first p.la (fun (d, _, _) ->
-      if Option.is_some (p.in_b d) then Ok ()
-      else fail "claim 2: %a vanished from a log" pp_d d)
+(* The first index of [es], in list order, satisfying [bad]. *)
+let first_index es bad =
+  let n = Array.length es in
+  let rec go i = if i = n then None else if bad i then Some i else go (i + 1) in
+  go 0
 
-let law3 p =
-  first p.la (fun (d, pos, _) ->
-      match p.in_b d with
-      | Some (_, pos', _) when pos' < pos ->
-          fail "claim 3: position of %a decreased" pp_d d
-      | _ -> Ok ())
+(* Claims 2–8 on one changed log. Each reports the first entry, in
+   list order, that breaks its law. *)
 
-let law4 p =
-  first p.la (fun (d, _, locked) ->
-      match p.in_b d with
-      | (Some (_, _, false) | None) when locked ->
-          fail "claim 4: %a was unlocked" pp_d d
-      | _ -> Ok ())
+let law2 (a, _) =
+  match first_index a.es (fun i -> a.other.(i) < 0) with
+  | Some i -> fail "claim 2: %a vanished from a log" pp_d (datum a.es.(i))
+  | None -> Ok ()
 
-let law5 p =
-  first p.la (fun (d, pos, locked) ->
-      match p.in_b d with
-      | Some (_, pos', _) when pos' = pos -> Ok ()
-      | _ when locked -> fail "claim 5: locked %a moved" pp_d d
-      | _ -> Ok ())
+let law3 (a, b) =
+  let bad i = a.other.(i) >= 0 && pos b.es.(a.other.(i)) < pos a.es.(i) in
+  match first_index a.es bad with
+  | Some i -> fail "claim 3: position of %a decreased" pp_d (datum a.es.(i))
+  | None -> Ok ()
 
-let law6 p =
-  first p.la (fun ((d, _, locked) as e) ->
-      match p.in_b d with
-      | Some eb when locked ->
-          first p.la (fun ((d', _, _) as e') ->
-              if same d d' || not (snap_lt e e') then Ok ()
-              else
-                match p.in_b d' with
-                | Some eb' when not (snap_lt eb eb') ->
-                    fail "claim 6: order %a < %a flipped" pp_d d pp_d d'
-                | _ -> Ok ())
-      | _ -> Ok ())
+let law4 (a, b) =
+  let bad i =
+    locked a.es.(i) && (a.other.(i) < 0 || not (locked b.es.(a.other.(i))))
+  in
+  match first_index a.es bad with
+  | Some i -> fail "claim 4: %a was unlocked" pp_d (datum a.es.(i))
+  | None -> Ok ()
 
-(* d fresh in b; every datum locked in a must be below it. *)
-let law7 p =
-  first p.lb (fun ((d, _, _) as eb) ->
-      if Option.is_some (p.in_a d) then Ok ()
-      else
-        first p.la (fun (d', _, locked) ->
-            match p.in_b d' with
-            | Some eb' when snap_lt eb' eb -> Ok ()
-            | _ when locked ->
-                fail "claim 7: fresh %a below locked %a" pp_d d pp_d d'
-            | _ -> Ok ()))
+let law5 (a, b) =
+  let bad i =
+    locked a.es.(i)
+    && (a.other.(i) < 0 || pos b.es.(a.other.(i)) <> pos a.es.(i))
+  in
+  match first_index a.es bad with
+  | Some i -> fail "claim 5: locked %a moved" pp_d (datum a.es.(i))
+  | None -> Ok ()
 
-let law8 p =
-  first p.la (fun ((d, _, locked) as ea) ->
-      match p.in_b d with
-      | Some eb when locked ->
-          let was_below d' =
-            match p.in_a d' with Some ea' -> snap_lt ea' ea | None -> false
-          in
-          let gained ((d', _, _) as e') =
-            (not (same d d')) && snap_lt e' eb && not (was_below d')
-          in
-          if List.exists gained p.lb then
-            fail "claim 8: locked %a gained a predecessor" pp_d d
-          else Ok ()
-      | _ -> Ok ())
+(* A locked d keeps above it in b every d' above it in a iff the
+   smallest b-rank among the entries of both snapshots above d in a is
+   above d's: [above.(r)] is that minimum over a-ranks from r up. *)
+let law6 (a, b) =
+  let na = Array.length a.es and nb = Array.length b.es in
+  let above = Array.make (na + 1) nb in
+  for r = na - 1 downto 0 do
+    above.(r) <- above.(r + 1);
+    let j = a.other.(a.by_rank.(r)) in
+    if j >= 0 then above.(r) <- min b.rank.(j) above.(r)
+  done;
+  let bad i =
+    locked a.es.(i)
+    && a.other.(i) >= 0
+    && above.(a.rank.(i) + 1) < b.rank.(a.other.(i))
+  in
+  match first_index a.es bad with
+  | None -> Ok ()
+  | Some i ->
+      let flipped i' =
+        a.other.(i') >= 0
+        && a.rank.(i') > a.rank.(i)
+        && b.rank.(a.other.(i')) < b.rank.(a.other.(i))
+      in
+      let i' = Option.get (first_index a.es flipped) in
+      fail "claim 6: order %a < %a flipped" pp_d (datum a.es.(i)) pp_d
+        (datum a.es.(i'))
+
+(* A fresh datum must sit above every datum locked in a, and above
+   all of them iff above the highest: a locked datum gone from b
+   counts as above everything. *)
+let law7 (a, b) =
+  let nb = Array.length b.es in
+  let b_rank i = if a.other.(i) < 0 then nb else b.rank.(a.other.(i)) in
+  let top = ref (-1) in
+  Array.iteri (fun i e -> if locked e then top := max !top (b_rank i)) a.es;
+  match first_index b.es (fun j -> b.other.(j) < 0 && b.rank.(j) < !top) with
+  | None -> Ok ()
+  | Some j ->
+      let below i = locked a.es.(i) && b_rank i > b.rank.(j) in
+      let i = Option.get (first_index a.es below) in
+      fail "claim 7: fresh %a below locked %a" pp_d (datum b.es.(j)) pp_d
+        (datum a.es.(i))
+
+(* A locked d gains a predecessor iff some entry below it in b is
+   fresh or was above it in a: [below.(r)] is the largest a-rank over
+   b-ranks under r, a fresh entry counting as above everything. *)
+let law8 (a, b) =
+  let na = Array.length a.es and nb = Array.length b.es in
+  let below = Array.make (nb + 1) (-1) in
+  for r = 0 to nb - 1 do
+    let i = b.other.(b.by_rank.(r)) in
+    below.(r + 1) <- max below.(r) (if i >= 0 then a.rank.(i) else na)
+  done;
+  let bad i =
+    locked a.es.(i)
+    && a.other.(i) >= 0
+    && below.(b.rank.(a.other.(i))) > a.rank.(i)
+  in
+  match first_index a.es bad with
+  | Some i ->
+      fail "claim 8: locked %a gained a predecessor" pp_d (datum a.es.(i))
+  | None -> Ok ()
 
 let log_laws = [ law2; law3; law4; law5; law6; law7; law8 ]
 
-let log_assoc snap key = match List.assoc_opt key snap with Some l -> l | None -> []
+(* Keys sorted and each key's first binding kept, so a pair's keys and
+   logs are those [sort_uniq] and [List.assoc_opt] give the reference. *)
+let normalise snap =
+  let rec first_bindings = function
+    | ((k, _) as kb) :: (k', _) :: rest when compare_key k k' = 0 ->
+        first_bindings (kb :: rest)
+    | kb :: rest -> kb :: first_bindings rest
+    | [] -> []
+  in
+  first_bindings
+    (List.stable_sort (fun (k, _) (k', _) -> compare_key k k') snap)
 
 (* The one walk behind claims 2–8: consecutive snapshot pairs (final
-   state included), and within a pair every log key in sorted order.
-   A claim that has failed keeps its first witness and is not run
-   again. An unchanged log is skipped, since every law holds on it when
-   each datum appears once per log. *)
+   state included), and within a pair every log key in sorted order,
+   merged in one pass. A claim that has failed keeps its first witness
+   and is not run again. A log whose two lists are physically equal
+   ([Log.snapshot] of an untouched log) is skipped, since every law
+   holds on it. *)
 let log_claims outcome =
-  let visit verdicts a b =
-    List.fold_left
-      (fun verdicts key ->
-        let la = log_assoc a key and lb = log_assoc b key in
-        if equal_log la lb then verdicts
-        else
-          let p = { la; lb; in_a = index la; in_b = index lb } in
-          List.map2
-            (fun law v -> if Result.is_ok v then law p else v)
-            log_laws verdicts)
-      verdicts
-      (List.sort_uniq compare_key (List.map fst a @ List.map fst b))
+  let visit verdicts la lb =
+    if la == lb then verdicts
+    else
+      let p = join la lb in
+      List.map2
+        (fun law v -> if Result.is_ok v then law p else v)
+        log_laws verdicts
+  in
+  let rec merge verdicts a b =
+    match (a, b) with
+    | (k, la) :: a', (k', lb) :: b' ->
+        let c = compare_key k k' in
+        if c = 0 then merge (visit verdicts la lb) a' b'
+        else if c < 0 then merge (visit verdicts la []) a' b
+        else merge (visit verdicts [] lb) a b'
+    | (_, la) :: a', [] -> merge (visit verdicts la []) a' []
+    | [], (_, lb) :: b' -> merge (visit verdicts [] lb) [] b'
+    | [], [] -> verdicts
   in
   let rec walk verdicts = function
     | a :: (b :: _ as rest) when List.exists Result.is_ok verdicts ->
-        walk (visit verdicts a b) rest
+        walk (merge verdicts a b) rest
     | _ -> verdicts
   in
   walk
     (List.map (fun _ -> Ok ()) log_laws)
-    (List.map snd outcome.Runner.snapshots @ [ outcome.Runner.final_logs ])
+    (List.map (fun (_, s) -> normalise s) outcome.Runner.snapshots
+    @ [ normalise outcome.Runner.final_logs ])
 
 let claim9 outcome =
   let cx = Outcome_index.make outcome in
@@ -291,36 +370,39 @@ let claim14 outcome =
       else fail "claim 14: m%d at p%d skipped a phase" m p)
     (Ok ()) (Trace.deliveries tr)
 
+(* One pass over the events keeps, per (p, m), the last phase rank seen,
+   or [regressed] from the first rank that fails to rise on (no rank
+   rises above it); the first regressed (p, m) in p-then-m order is the
+   witness. *)
 let claim15 outcome =
-  let tr = outcome.Runner.trace in
-  let by_pm = Hashtbl.create 64 in
+  let events = outcome.Runner.trace.Trace.events in
+  let np, nm =
+    List.fold_left
+      (fun (np, nm) -> function
+        | Trace.Phase_change { m; p; _ } | Trace.Deliver { m; p; _ } ->
+            (max np (p + 1), max nm (m + 1))
+        | _ -> (np, nm))
+      (0, 0) events
+  in
+  let regressed = max_int in
+  let last = Array.make (np * nm) (-1) in
+  let see p m ph =
+    let k = (p * nm) + m and r = Trace.phase_rank ph in
+    last.(k) <- (if r > last.(k) then r else regressed)
+  in
   List.iter
-    (fun ev ->
-      match ev with
-      | Trace.Phase_change { m; p; phase; _ } ->
-          Hashtbl.replace by_pm (p, m)
-            (phase :: (try Hashtbl.find by_pm (p, m) with Not_found -> []))
-      | Trace.Deliver { m; p; _ } ->
-          Hashtbl.replace by_pm (p, m)
-            (Trace.Delivered :: (try Hashtbl.find by_pm (p, m) with Not_found -> []))
+    (function
+      | Trace.Phase_change { m; p; phase; _ } -> see p m phase
+      | Trace.Deliver { m; p; _ } -> see p m Trace.Delivered
       | _ -> ())
-    tr.Trace.events;
-  (* Fold in sorted (p, m) order so the first failure reported does
-     not depend on Hashtbl iteration order. *)
-  Hashtbl.fold (fun k hist acc -> (k, hist) :: acc) by_pm []
-  |> List.sort (fun (k, _) (k', _) -> compare_key k k')
-  |> List.fold_left
-       (fun acc ((p, m), hist) ->
-         let* () = acc in
-         let hist = List.rev hist in
-         let rec monotone last = function
-           | [] -> true
-           | ph :: rest ->
-               Trace.phase_rank ph > last && monotone (Trace.phase_rank ph) rest
-         in
-         if monotone (-1) hist then Ok ()
-         else fail "claim 15: phase of m%d regressed at p%d" m p)
-       (Ok ())
+    events;
+  let rec first k =
+    if k = np * nm then Ok ()
+    else if last.(k) = regressed then
+      fail "claim 15: phase of m%d regressed at p%d" (k mod nm) (k / nm)
+    else first (k + 1)
+  in
+  first 0
 
 let all outcome =
   List.mapi

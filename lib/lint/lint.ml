@@ -53,9 +53,9 @@ let rule_names = List.map fst rules
    the @racecheck gate flaky; [loadgen] because generated workloads,
    shard plans and latency accounting feed the committed throughput
    benchmark and its jobs-identity contract; [checker] because the
-   identity suites pin its verdict strings byte for byte, so the hash
-   tables of the Table 2 walk must never leak iteration order into a
-   witness. *)
+   identity suites pin its verdict strings byte for byte, so no hash
+   table a checker keeps (claim 13's per-group sets, the cycle search's
+   adjacency) may leak iteration order into a witness. *)
 let strict_libs =
   [
     "sim"; "core"; "fuzz"; "net"; "objects"; "substrate"; "util"; "lint";

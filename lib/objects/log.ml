@@ -16,6 +16,10 @@ type 'a entry = { mutable position : int; mutable is_locked : bool }
      between mutations the ascending walks are O(visited) and incur no
      allocation. The guard walk [forall_before] reads [rev_index]
      directly and never needs the rebuild.
+   - [snap] caches [snapshot]'s list until the next mutation, a
+     lock-only bump included, so a per-tick recording shares every
+     untouched log with the previous tick. Its tuples are immutable,
+     so [copy] keeps it.
 
    The index relies on [compare] being the a-priori *total* order of
    the specification: distinct data never compare equal (the tie-break
@@ -27,6 +31,7 @@ type 'a t = {
   mutable rev_index : ('a * 'a entry) list;
   mutable sorted : ('a * 'a entry) list;
   mutable sorted_valid : bool;
+  mutable snap : ('a * int * bool) list option;
 }
 
 let create ~compare:cmp =
@@ -37,6 +42,7 @@ let create ~compare:cmp =
     rev_index = [];
     sorted = [];
     sorted_valid = true;
+    snap = Some [];
   }
 
 let head log = log.max_pos + 1
@@ -56,6 +62,7 @@ let append log d =
       log.max_pos <- p;
       log.rev_index <- (d, e) :: log.rev_index;
       log.sorted_valid <- false;
+      log.snap <- None;
       p
 
 let locked log d =
@@ -91,7 +98,8 @@ let bump_and_lock log d k =
           log.max_pos <- max log.max_pos k;
           reposition log d e k
         end;
-        e.is_locked <- true
+        e.is_locked <- true;
+        log.snap <- None
       end
 
 let lt log d d' =
@@ -109,7 +117,14 @@ let sorted_index log =
 let entries log = List.map fst (sorted_index log)
 
 let snapshot log =
-  List.map (fun (d, e) -> (d, e.position, e.is_locked)) (sorted_index log)
+  match log.snap with
+  | Some s -> s
+  | None ->
+      let s =
+        List.map (fun (d, e) -> (d, e.position, e.is_locked)) (sorted_index log)
+      in
+      log.snap <- Some s;
+      s
 
 (* Fresh entry records: [table] and [rev_index] share each record, and
    a reused one would let a bump in the copy move the original's datum

@@ -50,11 +50,16 @@ val entries : 'a t -> 'a list
 val snapshot : 'a t -> ('a * int * bool) list
 (** Every datum with its position and lock, in log order: [entries]
     paired with [pos] and [locked], read off the sorted index without a
-    table lookup per datum. *)
+    table lookup per datum. The list is built once and returned again,
+    physically equal, until the next [append] of an absent datum or
+    [bump_and_lock] of an unlocked one (a lock-only bump counts), so
+    successive snapshots of an untouched log share one list. *)
 
 val copy : 'a t -> 'a t
 (** An independent log with the same entries, positions and locks:
-    later operations on either leave the other unchanged. *)
+    later operations on either leave the other unchanged. The copy
+    starts from the original's snapshot list; a mutation of either
+    gives that one a fresh list. *)
 
 val before : 'a t -> 'a -> 'a list
 (** All data strictly smaller than the given datum (which must be

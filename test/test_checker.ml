@@ -131,7 +131,11 @@ let accepts_good_run () =
    Claims.all reports. Claims 6–8 cannot fail alone. An order below a
    locked datum flips only if a position falls (3) or the locked datum
    moves (5), and the other datum then becomes a new predecessor (8).
-   A fresh datum below a locked one is a new predecessor too. *)
+   A fresh datum below a locked one is a new predecessor too. Two rows
+   pin corners of the rank rules: a flip that only the datum tie-break
+   decides, at equal positions, and a fresh datum that fails claim 7
+   because the locked datum left the log, although it sits above the
+   locked datum's old position. *)
 let detects_log_claims () =
   let m0 = Algorithm1.Msg 0 and p = Algorithm1.Pend (0, 0, 1) in
   let rows =
@@ -175,6 +179,23 @@ let detects_log_claims () =
           ("claim 6", "order m0 < (m0,g0,1) flipped");
           ("claim 8", "locked m0 gained a predecessor");
         ] );
+      ( "claim 6 by the tie-break",
+        [ (p, 1, true); (m0, 2, false) ],
+        [ (m0, 1, false); (p, 1, true) ],
+        [
+          ("claim 3", "position of m0 decreased");
+          ("claim 6", "order (m0,g0,1) < m0 flipped");
+          ("claim 8", "locked (m0,g0,1) gained a predecessor");
+        ] );
+      ( "claim 7, the locked datum gone",
+        [ (m0, 1, true) ],
+        [ (p, 2, false) ],
+        [
+          ("claim 2", "m0 vanished from a log");
+          ("claim 4", "m0 was unlocked");
+          ("claim 5", "locked m0 moved");
+          ("claim 7", "fresh (m0,g0,1) below locked m0");
+        ] );
     ]
   in
   List.iter
@@ -194,8 +215,38 @@ let detects_log_claims () =
       Alcotest.(check (list (pair string string)))
         row
         (List.map (fun (c, msg) -> (c, c ^ ": " ^ msg)) expected)
-        failures)
+        failures;
+      Alcotest.(check (list (pair string string)))
+        (row ^ ", as the reference")
+        failures
+        (List.filter_map
+           (function name, Error e -> Some (name, e) | _, Ok () -> None)
+           (Claims_ref.all o)))
     rows
+
+(* Claim 15 names the smallest regressed (p, m), p first, whatever the
+   event order: here (p0, m0), whose regression comes last. A repeated
+   phase is a regression too. *)
+let detects_phase_regression () =
+  let phase m p phase seq =
+    Trace.Phase_change { m; p; phase; time = seq; seq }
+  in
+  let o =
+    outcome_of_events
+      [
+        phase 1 1 Trace.Commit 0;
+        phase 1 1 Trace.Pending 1;
+        phase 1 2 Trace.Pending 2;
+        phase 1 2 Trace.Commit 3;
+        phase 1 0 Trace.Stable 4;
+        phase 1 0 Trace.Stable 5;
+        phase 0 0 Trace.Pending 6;
+        ev_deliver 0 0 7;
+        phase 0 0 Trace.Stable 8;
+      ]
+  in
+  check_failure "regression caught" "claim 15: phase of m0 regressed at p0"
+    (Claims.claim15 o) (Claims_ref.claim15 o)
 
 let suite =
   [
@@ -209,4 +260,5 @@ let suite =
     t "cycle finder" `Quick find_cycle_works;
     t "accepts a correct run" `Quick accepts_good_run;
     t "detects breaks of log claims 2–8" `Quick detects_log_claims;
+    t "detects phase regressions (claim 15)" `Quick detects_phase_regression;
   ]

@@ -96,16 +96,32 @@ let claims_sweep jobs () =
   Alcotest.(check (list string)) "divergent claims" [] divergent
 
 (* One seeded mutation of one log's entries; [data] are the candidates
-   for an insertion. Every datum stays at most once in the log. *)
+   for an insertion. Every datum stays at most once in the log. Swapping
+   two entries' list places leaves the list out of log order, and
+   taking a neighbour's position leaves the datum tie-break to decide
+   the order. *)
 let mutate_log rng data entries =
-  let j = Rng.int rng (List.length entries) in
+  let n = List.length entries in
+  let j = Rng.int rng n in
   let at_j f = List.mapi (fun k e -> if k = j then f e else e) entries in
-  match Rng.int rng 4 with
+  match Rng.int rng 6 with
   | 0 -> List.filteri (fun k _ -> k <> j) entries
   | 1 ->
       let delta = Rng.pick rng [ -2; -1; 1; 2 ] in
       at_j (fun (d, pos, locked) -> (d, max 1 (pos + delta), locked))
   | 2 -> at_j (fun (d, pos, locked) -> (d, pos, not locked))
+  | 3 ->
+      let k = Rng.int rng n in
+      List.mapi
+        (fun i e ->
+          if i = j then List.nth entries k
+          else if i = k then List.nth entries j
+          else e)
+        entries
+  | 4 ->
+      let neighbour = if j > 0 then j - 1 else min 1 (n - 1) in
+      let _, pos, _ = List.nth entries neighbour in
+      at_j (fun (d, _, locked) -> (d, pos, locked))
   | _ -> (
       let present d = List.exists (fun (d', _, _) -> d' = d) entries in
       match List.filter (fun d -> not (present d)) data with
@@ -120,14 +136,31 @@ let mutate_log rng data entries =
           List.filteri (fun k _ -> k < j) entries
           @ (fresh :: List.filteri (fun k _ -> k >= j) entries))
 
+(* Key-level edits of a snapshot: reverse its bindings, or add an empty
+   binding for one of its keys at a random place, which shadows the
+   key's log when it lands first. *)
+let mutate_keys rng snap =
+  match (Rng.int rng 4, snap) with
+  | 0, _ -> List.rev snap
+  | 1, _ :: _ ->
+      let key, _ = Rng.pick rng snap in
+      let at = Rng.int rng (List.length snap + 1) in
+      List.filteri (fun k _ -> k < at) snap
+      @ ((key, []) :: List.filteri (fun k _ -> k >= at) snap)
+  | _ -> snap
+
 (* Mutate one to three logs of one recorded snapshot (the final state
-   included), so that a claim can fail in several logs of one pair. *)
+   included), so that a claim can fail in several logs of one pair, and
+   then maybe its keys. Only workload messages are inserted: claims 10
+   and 11 look up the group of every message in a final log. *)
 let mutate rng (o : Runner.outcome) =
   let snaps = List.map snd o.Runner.snapshots @ [ o.Runner.final_logs ] in
   let i = Rng.int rng (List.length snaps) in
   let snap = List.nth snaps i in
   let data =
-    List.init (List.length o.Runner.workload + 1) (fun m -> Algorithm1.Msg m)
+    List.map
+      (fun m -> Algorithm1.Msg m.Amsg.id)
+      (Workload.messages o.Runner.workload)
     @ List.concat_map (fun (_, es) -> List.map (fun (d, _, _) -> d) es) snap
   in
   let rec go snap = function
@@ -141,7 +174,7 @@ let mutate rng (o : Runner.outcome) =
             let swap (k, es) = if k = key then (k, entries) else (k, es) in
             go (List.map swap snap) (left - 1))
   in
-  let snap = go snap (1 + Rng.int rng 3) in
+  let snap = mutate_keys rng (go snap (1 + Rng.int rng 3)) in
   if i = List.length o.Runner.snapshots then { o with Runner.final_logs = snap }
   else
     {

@@ -136,8 +136,9 @@ let log_view l =
       (Log.entries l) )
 
 (* Mutating either side of a copy leaves the other side's view as it
-   was. The mutation appends and then raises a fresh, unlocked datum
-   above the head, so the bump repositions it in the sorted index. *)
+   was, down to the very snapshot list the copy started sharing. The
+   mutation appends and then raises a fresh, unlocked datum above the
+   head, so the bump repositions it in the sorted index. *)
 let log_copy_independent () =
   let check_view = Alcotest.(check (triple (list (triple int int bool)) int (list bool))) in
   for seed = 1 to 100 do
@@ -145,7 +146,12 @@ let log_copy_independent () =
       (fun mutate_copy ->
         let l = random_log seed in
         ignore (Log.append l 50);
+        let snap = Log.snapshot l in
         let c = Log.copy l in
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d: copy shares the snapshot list" seed)
+          true
+          (Log.snapshot c == snap);
         check_view (Printf.sprintf "seed %d: copy equals original" seed)
           (log_view l) (log_view c);
         let kept, mutated = if mutate_copy then (l, c) else (c, l) in
@@ -155,12 +161,78 @@ let log_copy_independent () =
         Alcotest.(check bool)
           (Printf.sprintf "seed %d: 50 repositioned above 60" seed)
           true (Log.lt mutated 60 50);
+        let side = if mutate_copy then "original" else "copy" in
         check_view
-          (Printf.sprintf "seed %d: %s unchanged" seed
-             (if mutate_copy then "original" else "copy"))
-          before (log_view kept))
+          (Printf.sprintf "seed %d: %s unchanged" seed side)
+          before (log_view kept);
+        let snap, _, _ = before in
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d: %s keeps its snapshot list" seed side)
+          true
+          (Log.snapshot kept == snap))
       [ true; false ]
   done
+
+(* [snapshot] returns one list until the log changes. A fresh append, a
+   moving bump and a lock-only bump each give a fresh list; a repeated
+   append and a bump of a locked datum change nothing and keep it. *)
+let log_snapshot_sharing () =
+  let l = Log.create ~compare:Int.compare in
+  ignore (Log.append l 1);
+  ignore (Log.append l 2);
+  let view l =
+    List.map (fun d -> (d, Log.pos l d, Log.locked l d)) (Log.entries l)
+  in
+  let last = ref (Log.snapshot l) in
+  let step what op ~fresh =
+    op ();
+    let s = Log.snapshot l in
+    Alcotest.(check bool) (what ^ ": fresh list") fresh (not (s == !last));
+    Alcotest.(check (list (triple int int bool)))
+      (what ^ ": entries") (view l) s;
+    last := s
+  in
+  step "no mutation" ignore ~fresh:false;
+  step "repeated append" (fun () -> ignore (Log.append l 1)) ~fresh:false;
+  step "append" (fun () -> ignore (Log.append l 3)) ~fresh:true;
+  step "moving bump" (fun () -> Log.bump_and_lock l 1 5) ~fresh:true;
+  step "lock-only bump" (fun () -> Log.bump_and_lock l 2 1) ~fresh:true;
+  step "bump of a locked datum"
+    (fun () -> Log.bump_and_lock l 2 9)
+    ~fresh:false
+
+(* Per-tick recording shares every log a tick left untouched: consecutive
+   snapshots whose entries for a key are equal hold one list. *)
+let runner_shares_snapshots () =
+  let topo = Topology.ring ~groups:4 in
+  let workload =
+    Workload.make
+      [ (0, 0, 0); (2, 1, 4); (4, 2, 9); (6, 3, 14); (3, 1, 20) ]
+      topo
+  in
+  let o =
+    Runner.run ~record_snapshots:true ~topo
+      ~fp:(Failure_pattern.never ~n:(Topology.n topo))
+      ~workload ()
+  in
+  let shared = ref 0 in
+  let rec pairs = function
+    | a :: (b :: _ as rest) ->
+        List.iter
+          (fun (key, la) ->
+            match List.assoc_opt key b with
+            | Some lb when la <> [] && la = lb ->
+                if not (la == lb) then
+                  Alcotest.failf "log (%d, %d): untouched but copied"
+                    (fst key) (snd key);
+                incr shared
+            | _ -> ())
+          a;
+        pairs rest
+    | _ -> ()
+  in
+  pairs (List.map snd o.Runner.snapshots @ [ o.Runner.final_logs ]);
+  Alcotest.(check bool) "some log untouched in a tick" true (!shared > 0)
 
 (* -------------------- consensus objects --------------------------- *)
 
@@ -277,6 +349,8 @@ let suite =
     t "log slot sharing" `Quick log_slot_sharing;
     t "log snapshot = entries with pos and lock" `Quick log_snapshot;
     t "log copy is independent" `Quick log_copy_independent;
+    t "log snapshot shared until a mutation" `Quick log_snapshot_sharing;
+    t "runner shares untouched log snapshots" `Quick runner_shares_snapshots;
     t "consensus table" `Quick consensus_table;
     t "consensus table copy is independent" `Quick consensus_copy_independent;
     t "adopt-commit spec" `Quick adopt_commit_spec;
