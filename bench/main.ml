@@ -148,7 +148,7 @@ let bench_gamma_extract =
   Test.make ~name:"emulation/Algorithm 3 run, figure 1 (F3)"
     (Staged.stage (fun () ->
          let ge = Gamma_extract.create ~topo ~fp () in
-         Gamma_extract.run ge ~horizon:300))
+         fst (Gamma_extract.run ge ~horizon:300)))
 
 let bench_cht =
   let topo =

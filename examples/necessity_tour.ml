@@ -22,7 +22,7 @@ let () =
   Format.printf "=== 1. Σ_{g2∩g3} from the algorithm (Algorithm 2) ===@.";
   let fp = Failure_pattern.of_crashes ~n:5 [ (2, 10) ] in
   let se = Sigma_extract.create ~topo ~fp ~groups:[ 2; 3 ] () in
-  let history = Sigma_extract.run se ~horizon:400 in
+  let history, _ = Sigma_extract.run se ~horizon:400 in
   Format.printf "  scope %a, p2 crashes at t=10@." Pset.pp (Sigma_extract.scope se);
   List.iter
     (fun t ->
@@ -36,7 +36,7 @@ let () =
   Format.printf "=== 2. γ from probe chains (Algorithm 3) ===@.";
   let fp = Failure_pattern.of_crashes ~n:5 [ (1, 5) ] in
   let ge = Gamma_extract.create ~topo ~fp () in
-  let history = Gamma_extract.run ge ~horizon:600 in
+  let history, _ = Gamma_extract.run ge ~horizon:600 in
   Format.printf "  p1 (the whole g0∩g1) crashes at t=5@.";
   Format.printf "  emulated γ at p0, end of run: {";
   List.iter (fun f -> Format.printf " %a" Topology.pp_family f) (history 0 600);
@@ -52,7 +52,7 @@ let () =
   List.iter
     (fun (name, fp) ->
       let ie = Indicator_extract.create ~topo:topo2 ~fp ~g:0 ~h:1 () in
-      let history = Indicator_extract.run ie ~horizon:300 in
+      let history, _ = Indicator_extract.run ie ~horizon:300 in
       Format.printf "  %-28s output at p0 = %s, %s@." name
         (match history 0 300 with
         | Some b -> string_of_bool b

@@ -27,6 +27,11 @@ let run ?(variant = Algorithm1.Vanilla) ?(seed = 1) ?horizon ?mu ?scheduled
     ?(batching = false) ?(faults = Channel_fault.none)
     ?(record_snapshots = false) ~topo ~fp ~workload () =
   let mu = match mu with Some m -> m | None -> Mu.make ~seed topo fp in
+  let max_at = List.fold_left (fun acc r -> max acc r.Workload.at) 0 workload in
+  (* Time alone can enable a guard until the last invocation, crash
+     and detector change; the slack covers every canonical μ. *)
+  let slack = max_at + Failure_pattern.max_crash_time fp + 30 in
+  let quiet_from = max slack mu.Mu.settle in
   let horizon =
     match horizon with
     | Some h -> h
@@ -37,6 +42,7 @@ let run ?(variant = Algorithm1.Vanilla) ?(seed = 1) ?horizon ?mu ?scheduled
            fault-free runs) untouched. *)
         default_horizon workload fp
         + ((List.length workload + 1) * Channel_fault.latency_bound faults)
+        + (quiet_from - slack)
   in
   let st =
     Algorithm1.create ~variant ~faults ~fault_seed:seed ~topo ~mu ~workload ()
@@ -45,15 +51,12 @@ let run ?(variant = Algorithm1.Vanilla) ?(seed = 1) ?horizon ?mu ?scheduled
   let on_tick t =
     if record_snapshots then snapshots := (t, snapshot_of st) :: !snapshots
   in
-  let max_at = List.fold_left (fun acc r -> max acc r.Workload.at) 0 workload in
   (* With a custom schedule the engine cannot distinguish "nothing
      enabled" from "the enabled process is not being scheduled right
      now", so early quiescence is only safe under the default
      all-alive schedule. *)
   let quiesce_after =
-    match scheduled with
-    | None -> max_at + Failure_pattern.max_crash_time fp + 30
-    | Some _ -> horizon
+    match scheduled with None -> quiet_from | Some _ -> horizon
   in
   (* Batching is scheduling: the engine repeats the one stepper until
      it finds nothing to do, draining each process to a fixpoint at its

@@ -27,8 +27,8 @@ type outcome = {
 }
 
 val default_horizon : Workload.t -> Failure_pattern.t -> int
-(** A horizon comfortably past every invocation, crash and detector
-    delay for the workload size. *)
+(** A horizon comfortably past every invocation and crash for the
+    workload size ({!run} extends it for slow detectors). *)
 
 val run :
   ?variant:Algorithm1.variant ->
@@ -48,6 +48,11 @@ val run :
     component); pass an ablated bundle to run the weakened-detector
     experiments. [scheduled] restricts which processes may take steps
     at each tick (P-fair runs of §6.2).
+
+    Under the free schedule the engine may stop at the first silent
+    tick from [max (max_at + last crash + 30) mu.settle] on ({!Mu.t}),
+    and the default horizon grows by however far [mu.settle] exceeds
+    the first term. With [scheduled] the run goes to the horizon.
 
     [batching] (default [false]) is the heavy-traffic mode of DESIGN.md
     "Batching & group sharding": the engine calls {!Algorithm1.step}

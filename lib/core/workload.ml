@@ -6,10 +6,10 @@ let make specs topo =
     (fun id (src, dst, at) -> { msg = Amsg.make ~id ~src ~dst topo; at })
     specs
 
-let one_per_group ?(at = 0) topo =
+let one_per_group topo =
   make
     (List.map
-       (fun g -> (Pset.choose (Topology.group topo g), g, at))
+       (fun g -> (Pset.choose (Topology.group topo g), g, 0))
        (Topology.gids topo))
     topo
 

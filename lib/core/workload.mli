@@ -9,9 +9,9 @@ val make : (int * Topology.gid * int) list -> Topology.t -> t
 (** [make [(src, dst, at); ...] topo] builds a workload with message
     ids [0, 1, ...] in list order. *)
 
-val one_per_group : ?at:int -> Topology.t -> t
+val one_per_group : Topology.t -> t
 (** One message per destination group, multicast by the group's
-    smallest member at tick [at] (default 0). *)
+    smallest member at tick 0. *)
 
 val random :
   Rng.t ->

@@ -34,6 +34,7 @@ val query : t -> int -> Topology.family list
 val failed_paths : t -> Topology.cpath list
 (** Oriented rooted paths currently flagged (diagnostics). *)
 
-val run : t -> horizon:int -> (int -> int -> Topology.family list)
-(** Drive for [horizon] ticks; returns the recorded history
-    [query p t], suitable for {!Axioms.gamma}. *)
+val run :
+  t -> horizon:int -> (int -> int -> Topology.family list) * int
+(** {!Recorder.record}: the history [query p t], suitable for
+    {!Axioms.gamma}, and its settle tick, for {!Mu.with_gamma}. *)

@@ -1,7 +1,6 @@
 type instance = { participants : Pset.t; algo : Algorithm1.t; k : int }
 
 type t = {
-  topo : Topology.t;
   fp : Failure_pattern.t;
   scope : Pset.t; (* g ∪ h *)
   a_g : instance;
@@ -26,7 +25,6 @@ let create ?(seed = 13) ~topo ~fp ~g ~h () =
     invalid_arg "Indicator_extract.create: groups do not intersect";
   let g_only = Pset.diff gs hs and h_only = Pset.diff hs gs in
   {
-    topo;
     fp;
     scope = Pset.union gs hs;
     a_g = make_instance seed topo fp g g_only;
@@ -50,17 +48,5 @@ let step t ~pid:p ~time =
 let query t p = if Pset.mem p t.scope then Some t.flag else None
 
 let run t ~horizon =
-  let n = Topology.n t.topo in
-  let history = Array.make_matrix (horizon + 1) n None in
-  let on_tick tick =
-    if tick <= horizon then
-      for p = 0 to n - 1 do
-        history.(tick).(p) <- query t p
-      done
-  in
-  ignore
-    (Engine.run ~fp:t.fp ~horizon ~quiesce_after:horizon ~on_tick
-       ~step:(fun ~pid ~time -> step t ~pid ~time)
-       ());
-  fun p tick ->
-    if tick >= 0 && tick <= horizon then history.(tick).(p) else query t p
+  Recorder.record ~equal:(Option.equal Bool.equal) ~fp:t.fp ~horizon
+    ~step:(step t) ~query:(query t)

@@ -26,5 +26,7 @@ val step : t -> pid:int -> time:int -> bool
 val query : t -> int -> bool option
 (** Emulated [1^{g∩h}] at a process; ⊥ outside [g ∪ h]. *)
 
-val run : t -> horizon:int -> (int -> int -> bool option)
-(** Drive and record history, suitable for {!Axioms.indicator}. *)
+val run :
+  t -> horizon:int -> (int -> int -> bool option) * int
+(** {!Recorder.record}: the history, suitable for {!Axioms.indicator},
+    and its settle tick. *)

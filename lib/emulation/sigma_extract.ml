@@ -111,17 +111,5 @@ let query t p =
     Some (Pset.inter union t.scope)
 
 let run t ~horizon =
-  let n = Topology.n t.topo in
-  let history = Array.make_matrix (horizon + 1) n None in
-  let on_tick tick =
-    if tick <= horizon then
-      for p = 0 to n - 1 do
-        history.(tick).(p) <- query t p
-      done
-  in
-  ignore
-    (Engine.run ~fp:t.fp ~horizon ~quiesce_after:horizon ~on_tick
-       ~step:(fun ~pid ~time -> step t ~pid ~time)
-       ());
-  fun p tick ->
-    if tick >= 0 && tick <= horizon then history.(tick).(p) else query t p
+  Recorder.record ~equal:(Option.equal Pset.equal) ~fp:t.fp ~horizon
+    ~step:(step t) ~query:(query t)

@@ -41,8 +41,6 @@ val responsive : t -> int -> Topology.gid -> Pset.t list
 (** The sets in [Q_g] at process [p] (diagnostics). *)
 
 val run :
-  t ->
-  horizon:int ->
-  (int -> int -> Pset.t option)
-(** Drive the emulation for [horizon] ticks and return the recorded
-    history [query p t], suitable for {!Axioms.sigma}. *)
+  t -> horizon:int -> (int -> int -> Pset.t option) * int
+(** {!Recorder.record}: the history [query p t], suitable for
+    {!Axioms.sigma}, and its settle tick. *)

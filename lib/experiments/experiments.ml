@@ -289,7 +289,7 @@ let figure3 () =
       let horizon = 600 in
       let scenario name fp =
         let ge = Gamma_extract.create ~topo ~fp () in
-        let history = Gamma_extract.run ge ~horizon in
+        let history, _ = Gamma_extract.run ge ~horizon in
         fpf fmt "  %s:@," name;
         fpf fmt "    output at p0, t=%d: {" horizon;
         List.iter (fun f -> fpf fmt " %a" Topology.pp_family f) (history 0 horizon);
@@ -514,13 +514,13 @@ let necessity () =
       (* Algorithm 2 *)
       let fp = Failure_pattern.of_crashes ~n:5 [ (2, 10) ] in
       let se = Sigma_extract.create ~topo ~fp ~groups:[ 2; 3 ] () in
-      let history = Sigma_extract.run se ~horizon:400 in
+      let history, _ = Sigma_extract.run se ~horizon:400 in
       fpf fmt "  Algorithm 2 (Σ_{g3∩g4} from A, p3 crashes): %a@," verdict
         (Axioms.sigma ~scope:(Sigma_extract.scope se) ~horizon:400 fp history);
       (* Algorithm 3 *)
       let fp = Failure_pattern.of_crashes ~n:5 [ (1, 5) ] in
       let ge = Gamma_extract.create ~topo ~fp () in
-      let history = Gamma_extract.run ge ~horizon:600 in
+      let history, _ = Gamma_extract.run ge ~horizon:600 in
       fpf fmt "  Algorithm 3 (γ from A, p2 crashes):         %a@," verdict
         (Axioms.gamma topo ~families ~horizon:600 ~tail:20 fp history);
       (* Algorithm 4 *)
@@ -529,7 +529,7 @@ let necessity () =
       in
       let fp = Failure_pattern.of_crashes ~n:4 [ (1, 5); (2, 5) ] in
       let ie = Indicator_extract.create ~topo:topo2 ~fp ~g:0 ~h:1 () in
-      let history = Indicator_extract.run ie ~horizon:300 in
+      let history, _ = Indicator_extract.run ie ~horizon:300 in
       fpf fmt "  Algorithm 4 (1^{g∩h} from strict A):        %a@," verdict
         (Axioms.indicator ~scope:(Pset.range 4) ~target:(Pset.of_list [ 1; 2 ])
            ~horizon:300 ~tail:10 fp history);

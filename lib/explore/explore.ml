@@ -52,18 +52,7 @@ let steady_time sc =
   let max_at =
     List.fold_left (fun acc (_, _, at) -> max acc at) 0 sc.Scenario.msgs
   in
-  let fault_bound =
-    (* Σ histories settle at the last crash; γ and the §6.1 indicators
-       within max_delay after it; Ω is stable from tick 0 (Mu.make's
-       default stabilization). Without crashes every detector history
-       is constant from the start. *)
-    match sc.Scenario.crashes with
-    | [] -> 0
-    | crashes ->
-        List.fold_left (fun acc (_, t) -> max acc t) 0 crashes
-        + sc.Scenario.max_delay
-  in
-  max max_at fault_bound
+  max max_at (Scenario.mu sc).Mu.settle
 
 let default_depth sc =
   let topo = Scenario.topology sc in
@@ -139,21 +128,12 @@ let make_ctx ~por ~cache ~claims ~stop_on_first sc =
   let topo = Scenario.topology sc in
   let fp = Scenario.failure_pattern sc in
   let workload = Scenario.workload sc in
-  let mu =
-    Mu.make ~max_delay:sc.Scenario.max_delay ~seed:sc.Scenario.seed topo fp
-  in
-  let mu =
-    match sc.Scenario.ablation with
-    | Scenario.Full -> mu
-    | Scenario.Lying_gamma -> Mu.gamma_lying mu
-    | Scenario.Always_gamma -> Mu.gamma_always mu
-  in
   {
     sc;
     topo;
     fp;
     workload;
-    mu;
+    mu = Scenario.mu sc;
     k = List.length sc.Scenario.msgs;
     n = sc.Scenario.n;
     t_steady = steady_time sc;
@@ -176,7 +156,7 @@ let replay ctx =
       ~topo:ctx.topo ~mu:ctx.mu ~workload:ctx.workload ()
   in
   let stats, _ =
-    Engine.run_pinned ~fp:ctx.fp ~seed:ctx.sc.Scenario.seed ~moves:[||]
+    Engine.run_pinned ~fp:ctx.fp ~moves:[||]
       ~step:(Algorithm1.step st) ()
   in
   (st, stats)
@@ -266,8 +246,8 @@ let check_terminal ctx c tbl st stats path =
     let snaps = ref [] in
     let on_tick t = snaps := (t, snapshot_of st') :: !snaps in
     let stats', _ =
-      Engine.run_pinned ~fp:ctx.fp ~seed:ctx.sc.Scenario.seed ~on_tick
-        ~moves:(moves_array path) ~step:(Algorithm1.step st') ()
+      Engine.run_pinned ~fp:ctx.fp ~on_tick ~moves:(moves_array path)
+        ~step:(Algorithm1.step st') ()
     in
     c.c_replayed_steps <- c.c_replayed_steps + stats'.Engine.executed;
     let o = outcome_of ctx st' stats' ~snapshots:(List.rev !snaps) in

@@ -12,11 +12,10 @@
     {!Scenario.Pinned} schedule that replays from scratch.
 
     Time handling: [Idle] moves are offered only while [t < t_steady]
-    ({!steady_time}) — the first tick from which every time-dependent
-    guard (workload release times, crashes, detector histories) is
-    constant. Past [t_steady], letting the clock tick changes nothing,
-    so idling is pruned and states are fingerprinted with the canonical
-    time [min t t_steady].
+    ({!steady_time}: release times, crashes and the detector bundle's
+    own settle tick are past). Past [t_steady], letting the clock tick
+    changes nothing, so idling is pruned and states are fingerprinted
+    with the canonical time [min t t_steady].
 
     Partial-order reduction (on by default, [~por:false] ablates it):
     - {e persistent sets}: in the steady regime the enabled processes
@@ -112,10 +111,9 @@ val derive :
     [st] is left unchanged. *)
 
 val steady_time : Scenario.t -> int
-(** First tick from which every guard of the configuration is
-    time-invariant: the latest workload release time, or — when the
-    scenario crashes processes — the latest crash time plus the
-    detector latency bound, whichever is later. *)
+(** The later of the last workload release time and [settle] of
+    {!Scenario.mu}, which covers the crashes: from then on every guard
+    of the configuration is time-invariant. *)
 
 val default_depth : Scenario.t -> int
 (** A quiescence-covering bound: {!steady_time} plus a per-message

@@ -100,4 +100,5 @@ let mu_of_perfect topo perfect =
     gamma;
     gamma_groups = (fun p t g -> Topology.gamma_groups topo (gamma p t) g);
     indicator;
+    settle = Perfect.settle perfect;
   }

@@ -8,9 +8,10 @@
     - {e completeness}: a faulty family is eventually excluded forever
       at every correct process of [F(p)].
 
-    The implementation excludes each family at its fault time plus a
-    seeded per-process detection delay, which is the most general shape
-    a correct γ history can take. *)
+    The implementation excludes each family for good at its fault time
+    plus a seeded per-(process, family) delay. That is one valid shape:
+    the axioms also let a faulty family flicker in and out before
+    completeness drops it for good. *)
 
 type t
 

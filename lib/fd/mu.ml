@@ -14,11 +14,12 @@ type t = {
   gamma : int -> Failure_pattern.time -> Topology.family list;
   gamma_groups : int -> Failure_pattern.time -> Topology.gid -> Topology.gid list;
   indicator : Topology.gid -> Topology.gid -> int -> Failure_pattern.time -> bool option;
+  settle : Failure_pattern.time;
 }
 
 let pair_key g h = if g <= h then (g, h) else (h, g)
 
-let make ?(max_delay = 5) ?(stabilization = 0) ~seed topo fp =
+let make ?(max_delay = 5) ~seed topo fp =
   let families = Topology.cyclic_families topo in
   let k = Topology.num_groups topo in
   (* Σ_{g∩h} for every intersecting pair (including g = h, i.e. Σ_g). *)
@@ -28,7 +29,7 @@ let make ?(max_delay = 5) ?(stabilization = 0) ~seed topo fp =
   let indicators = Hashtbl.create 16 in
   for g = 0 to k - 1 do
     Hashtbl.replace omegas g
-      (Omega.make ~restrict:(Topology.group topo g) ~stabilization
+      (Omega.make ~restrict:(Topology.group topo g)
          ~seed:(Hashtbl.hash (seed, `Omega, g))
          fp);
     for h = g to k - 1 do
@@ -37,7 +38,7 @@ let make ?(max_delay = 5) ?(stabilization = 0) ~seed topo fp =
         Hashtbl.replace sigmas (g, h)
           (Sigma.make ~restrict:cap fp);
         Hashtbl.replace omegas_inter (g, h)
-          (Omega.make ~restrict:cap ~stabilization
+          (Omega.make ~restrict:cap
              ~seed:(Hashtbl.hash (seed, `Omega_inter, g, h))
              fp);
         if g <> h then
@@ -79,18 +80,23 @@ let make ?(max_delay = 5) ?(stabilization = 0) ~seed topo fp =
     gamma = (fun p t -> Gamma.query gamma_d p t);
     gamma_groups = (fun p t g -> Gamma.groups gamma_d p t g);
     indicator;
+    settle =
+      (if Pset.is_empty (Failure_pattern.faulty fp) then 0
+       else Failure_pattern.max_crash_time fp + max_delay);
   }
 
-let with_gamma mu gamma =
+let with_gamma mu ~settle gamma =
   {
     mu with
     gamma;
     gamma_groups = (fun p t g -> Topology.gamma_groups mu.topo (gamma p t) g);
+    settle = max mu.settle settle;
   }
 
 let gamma_always mu =
   let families = mu.families in
   let topo = mu.topo in
-  with_gamma mu (fun p _t -> Topology.families_of_process topo families p)
+  with_gamma mu ~settle:0 (fun p _t ->
+      Topology.families_of_process topo families p)
 
-let gamma_lying mu = with_gamma mu (fun _p _t -> [])
+let gamma_lying mu = with_gamma mu ~settle:0 (fun _p _t -> [])

@@ -23,25 +23,30 @@ type t = {
       (** The derived [γ(g)] notation of §3. *)
   indicator : Topology.gid -> Topology.gid -> int -> Failure_pattern.time -> bool option;
       (** [indicator g h p t]: output of [1^{g∩h}] (§6.1 strengthening). *)
+  settle : Failure_pattern.time;
+      (** A tick from which no component's output changes. The bundle's
+          builder sets it; runners and the explorer read it instead of
+          bounding detector delays themselves. *)
 }
 
 val make :
   ?max_delay:int ->
-  ?stabilization:Failure_pattern.time ->
   seed:int ->
   Topology.t ->
   Failure_pattern.t ->
   t
 (** Build valid histories of every component for the given topology and
-    failure pattern. [stabilization] is the Ω stabilisation time,
-    [max_delay] the detection latency bound of γ, [1^P] and P. *)
+    failure pattern. [max_delay] (default [5]) bounds the detection
+    latency of γ and [1^{g∩h}]; Ω is stable from tick 0. [settle] is 0
+    without crashes, else the last crash plus [max_delay]. *)
 
 val with_gamma :
   t ->
+  settle:Failure_pattern.time ->
   (int -> Failure_pattern.time -> Topology.family list) ->
   t
-(** Ablation hook: replace the γ component (both [gamma] and the
-    derived [gamma_groups]). *)
+(** Replace γ (and the derived [gamma_groups]) by a history constant
+    from [settle] on; the bundle's [settle] becomes the later tick. *)
 
 val gamma_always : t -> t
 (** A γ that never excludes any family: accurate but not complete.

@@ -22,3 +22,7 @@ let query d _p t =
         t >= ct + delay
   in
   Pset.filter suspected (Pset.range (Failure_pattern.n d.fp))
+
+let settle d =
+  if Pset.is_empty (Failure_pattern.faulty d.fp) then 0
+  else Failure_pattern.max_crash_time d.fp + d.max_delay

@@ -12,3 +12,7 @@ val make : ?max_delay:int -> seed:int -> Failure_pattern.t -> t
 
 val query : t -> int -> Failure_pattern.time -> Pset.t
 (** Suspected processes at [p] and [t]. *)
+
+val settle : t -> Failure_pattern.time
+(** From this tick on no output changes: 0 without crashes, else the
+    last crash plus [max_delay]. *)

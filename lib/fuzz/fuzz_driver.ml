@@ -24,16 +24,13 @@ let check_trial ~seed ~on_trial cfg i =
   on_trial i s;
   match Scenario.check s with Ok () -> None | Error e -> Some (s, e)
 
-let violation_of ~minimize ~max_shrink_checks i (s, failure) =
-  let minimized =
-    if minimize then Some (Shrinker.minimize ~max_checks:max_shrink_checks s)
-    else None
-  in
+let violation_of ~minimize i (s, failure) =
+  let minimized = if minimize then Some (Shrinker.minimize s) else None in
   { trial = i; scenario = s; failure; minimized }
 
-let fuzz ?(minimize = true) ?(stop_at_first = true) ?(max_shrink_checks = 500)
+let fuzz ?(minimize = true) ?(stop_at_first = true)
     ?(on_trial = fun _ _ -> ()) ?(jobs = 1) ~trials ~seed cfg =
-  let mk = violation_of ~minimize ~max_shrink_checks in
+  let mk = violation_of ~minimize in
   if jobs <= 1 then
     (* The sequential reference: trials are generated and checked in
        order, and nothing past the first violation is even generated

@@ -21,7 +21,6 @@ val scenario_of_trial : seed:int -> Scenario_gen.config -> int -> Scenario.t
 val fuzz :
   ?minimize:bool ->
   ?stop_at_first:bool ->
-  ?max_shrink_checks:int ->
   ?on_trial:(int -> Scenario.t -> unit) ->
   ?jobs:int ->
   trials:int ->

@@ -266,6 +266,16 @@ let pp fmt s = Format.pp_print_string fmt (to_string s)
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
+let mu s =
+  let mu =
+    Mu.make ~max_delay:s.max_delay ~seed:s.seed (topology s)
+      (failure_pattern s)
+  in
+  match s.ablation with
+  | Full -> mu
+  | Lying_gamma -> Mu.gamma_lying mu
+  | Always_gamma -> Mu.gamma_always mu
+
 let run ?(record_snapshots = false) s =
   (match validate s with
   | Ok () -> ()
@@ -273,13 +283,7 @@ let run ?(record_snapshots = false) s =
   let topo = topology s in
   let fp = failure_pattern s in
   let workload = Workload.make s.msgs topo in
-  let mu = Mu.make ~max_delay:s.max_delay ~seed:s.seed topo fp in
-  let mu =
-    match s.ablation with
-    | Full -> mu
-    | Lying_gamma -> Mu.gamma_lying mu
-    | Always_gamma -> Mu.gamma_always mu
-  in
+  let mu = mu s in
   let scheduled =
     match s.schedule with
     | Free -> None

@@ -87,6 +87,10 @@ val pp : Format.formatter -> t -> unit
 
 (** {1 Execution} *)
 
+val mu : t -> Mu.t
+(** [Mu.make] with the scenario's [max_delay] and [seed], then its
+    ablation: the one bundle every run and exploration reads. *)
+
 val run : ?record_snapshots:bool -> t -> Runner.outcome
 (** Build the (possibly ablated) detector bundle and drive Algorithm 1
     to quiescence. Raises [Invalid_argument] on scenarios that fail

@@ -152,22 +152,17 @@ let candidates s =
 
 type stats = { steps : int; checks : int }
 
-let minimize ?(max_checks = 500) ?still_failing s =
-  let failing =
-    match still_failing with
-    | Some f -> f
-    | None -> fun s -> Scenario.check s <> Ok ()
-  in
+let minimize s =
   let checks = ref 0 and steps = ref 0 in
   let failing s =
     incr checks;
-    failing s
+    Scenario.check s <> Ok ()
   in
   let rec descend s =
     let rec first = function
       | [] -> s
       | c :: rest ->
-          if !checks >= max_checks then s
+          if !checks >= 500 then s
           else if failing c then begin
             incr steps;
             descend c

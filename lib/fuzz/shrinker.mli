@@ -16,13 +16,8 @@ val candidates : Scenario.t -> Scenario.t list
 
 type stats = { steps : int;  (** accepted moves *) checks : int }
 
-val minimize :
-  ?max_checks:int ->
-  ?still_failing:(Scenario.t -> bool) ->
-  Scenario.t ->
-  Scenario.t * stats
+val minimize : Scenario.t -> Scenario.t * stats
 (** Greedy descent: repeatedly adopt the first candidate on which
-    [still_failing] holds (default: [Scenario.check] returns [Error]),
-    until none does or [max_checks] (default 500) re-runs were spent.
-    If the input scenario itself is not failing it is returned
-    unchanged. *)
+    [Scenario.check] returns [Error], until none does or 500 re-runs
+    were spent. If the input scenario itself is not failing it is
+    returned unchanged. *)

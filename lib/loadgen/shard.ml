@@ -91,12 +91,12 @@ let plan ~topo ~fp workload =
       })
     labels
 
-let run ?jobs ?variant ?(seed = 1) ?horizon ?batching shards =
+let run ?jobs ?(seed = 1) ?batching shards =
   (* The worker closure captures only the immutable shard list (walked
      by index) and scalar options; every mutable cell of a run is
      created inside the worker, so the racecheck pass needs no
      suppression. *)
   Domain_pool.map ?jobs (List.length shards) (fun i ->
       let s = List.nth shards i in
-      Runner.run ?variant ~seed ?horizon ?batching ~topo:s.topo ~fp:s.fp
+      Runner.run ~seed ?batching ~topo:s.topo ~fp:s.fp
         ~workload:s.workload ())

@@ -28,9 +28,7 @@ val plan :
 
 val run :
   ?jobs:int ->
-  ?variant:Algorithm1.variant ->
   ?seed:int ->
-  ?horizon:int ->
   ?batching:bool ->
   shard list ->
   Runner.outcome array

@@ -35,8 +35,9 @@ val run :
   stats
 (** [quiesce_after] (default [0]): earliest tick at which the engine
     may stop because a full tick passed with no action executed. Set it
-    beyond every crash time and detector delay, since guards can become
-    enabled by time alone.
+    at or beyond every crash time and the detector histories' settle
+    tick ({!Mu.t}'s [settle]), since guards can become enabled by time
+    alone.
 
     [live_until] (default [fun () -> 0]): a dynamic lower bound on
     quiescence, re-queried at every silent tick. Fault-injecting
@@ -59,7 +60,6 @@ val run :
 
 val run_pinned :
   fp:Failure_pattern.t ->
-  ?seed:int ->
   ?on_tick:(int -> unit) ->
   moves:int option array ->
   step:(pid:int -> time:int -> bool) ->
@@ -72,8 +72,9 @@ val run_pinned :
     per-move flag telling whether that tick's process actually executed
     an action (crashed or disabled processes let the tick pass). There
     is no [enabled] hint: the pinned process's [step] is always called,
-    and its result alone decides the flag. Pinned runs are deterministic and independent of [seed]: a scheduled set
-    of at most one element leaves nothing for the per-tick shuffle to
-    permute. This is the reference replay of the systematic explorer
-    (lib/explore): its [~claims] terminals are re-replayed through it,
-    and a derived child must equal the pinned run of its prefix. *)
+    and its result alone decides the flag. Pinned runs take no seed: a
+    scheduled set of at most one element leaves nothing for the
+    per-tick shuffle to permute. This is the reference replay of the
+    systematic explorer (lib/explore): its [~claims] terminals are
+    re-replayed through it, and a derived child must equal the pinned
+    run of its prefix. *)

@@ -164,39 +164,35 @@ let is_cyclic t fam = cpaths t fam <> []
    equivalent to — and exponentially cheaper than — testing every
    subset of groups: topologies with many disjoint or sparsely
    intersecting groups have few cycles. *)
-let cyclic_families_uncached ~limit t =
-  let k = num_groups t in
-  let adjacent g h = g <> h && intersecting t g h in
-  let seen = Hashtbl.create 64 in
-  (* Cycles rooted at their smallest vertex: extend simple paths with
-     vertices larger than the root; close when adjacent to the root. *)
-  let rec extend root path last len =
-    if len >= 3 && adjacent last root then begin
-      let fam = List.sort Int.compare path in
-      if not (Hashtbl.mem seen fam) then Hashtbl.replace seen fam ()
-    end;
-    if len < limit then
-      for g = root + 1 to k - 1 do
-        if adjacent last g && not (List.mem g path) then
-          extend root (g :: path) g (len + 1)
-      done
-  in
-  for root = 0 to k - 1 do
-    extend root [ root ] root 1
-  done;
-  List.sort (List.compare Int.compare)
-    (Hashtbl.fold (fun fam () acc -> fam :: acc) seen [])
-
-let cyclic_families ?max_size t =
-  match max_size with
-  | Some m -> cyclic_families_uncached ~limit:m t
-  | None -> (
-      match t.cyc_memo with
-      | Some fams -> fams
-      | None ->
-          let fams = cyclic_families_uncached ~limit:(num_groups t) t in
-          t.cyc_memo <- Some fams;
-          fams)
+let cyclic_families t =
+  match t.cyc_memo with
+  | Some fams -> fams
+  | None ->
+      let k = num_groups t in
+      let adjacent g h = g <> h && intersecting t g h in
+      let seen = Hashtbl.create 64 in
+      (* Cycles rooted at their smallest vertex: extend simple paths
+         with vertices larger than the root; close when adjacent to the
+         root. *)
+      let rec extend root path last len =
+        if len >= 3 && adjacent last root then begin
+          let fam = List.sort Int.compare path in
+          if not (Hashtbl.mem seen fam) then Hashtbl.replace seen fam ()
+        end;
+        for g = root + 1 to k - 1 do
+          if adjacent last g && not (List.mem g path) then
+            extend root (g :: path) g (len + 1)
+        done
+      in
+      for root = 0 to k - 1 do
+        extend root [ root ] root 1
+      done;
+      let fams =
+        List.sort (List.compare Int.compare)
+          (Hashtbl.fold (fun fam () acc -> fam :: acc) seen [])
+      in
+      t.cyc_memo <- Some fams;
+      fams
 
 let families_of_group _t families g =
   List.filter (fun fam -> List.mem g fam) families

@@ -89,9 +89,9 @@ val is_cyclic : t -> family -> bool
 (** Whether the intersection graph of the family is Hamiltonian. Only
     families of three or more groups can be cyclic. *)
 
-val cyclic_families : ?max_size:int -> t -> family list
-(** [F]: all cyclic families over the topology's groups. [max_size]
-    bounds the enumeration (default: no bound). *)
+val cyclic_families : t -> family list
+(** [F]: all cyclic families over the topology's groups (computed once
+    per topology). *)
 
 val families_of_group : t -> family list -> gid -> family list
 (** [F(g)]: the cyclic families containing group [g]. *)

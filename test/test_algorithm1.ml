@@ -388,6 +388,58 @@ let well_formed name (o : Runner.outcome) =
     (List.map (fun (t, s) -> (Printf.sprintf "tick %d" t, s)) o.Runner.snapshots
     @ [ ("final state", o.Runner.final_logs) ])
 
+(* Early quiescence is an optimisation: stopping at the first silent
+   tick of the runner's window must give the verdicts of running to
+   the horizon. A constant all-processes schedule counts as custom, so
+   the runner never stops it early, and it makes the same draws as the
+   free schedule. Detector delays of 60 put the settle tick of μ past
+   the last crash plus 30; at 200 the default horizon must stretch
+   too, so those runs are compared with runs 1,000 ticks longer.
+   Corpus entries run with their schedule freed: a custom schedule
+   never stops early anyway. *)
+let early_quiescence_keeps_verdicts () =
+  let verdicts_equal ?longer name s =
+    let s = { s with Scenario.schedule = Scenario.Free } in
+    let topo = Scenario.topology s and fp = Scenario.failure_pattern s in
+    let workload = Scenario.workload s in
+    let horizon =
+      Option.map (fun d -> Runner.default_horizon workload fp + d) longer
+    in
+    let to_horizon =
+      Runner.run ~variant:s.Scenario.variant ~seed:s.Scenario.seed
+        ~faults:s.Scenario.faults ~mu:(Scenario.mu s) ?horizon
+        ~scheduled:(fun _ -> Pset.range s.Scenario.n)
+        ~topo ~fp ~workload ()
+    in
+    Alcotest.(check (list (pair string (result unit string))))
+      (name ^ ": verdicts with and without early quiescence")
+      (Properties.all to_horizon)
+      (Properties.all (Scenario.run s))
+  in
+  List.iter
+    (fun (name, decoded) ->
+      match decoded with
+      | Ok s -> verdicts_equal name s
+      | Error e -> Alcotest.failf "%s does not decode: %s" name e)
+    (Corpus.load ~dir:"../corpus");
+  let cfg =
+    {
+      Scenario_gen.default with
+      Scenario_gen.cyclic_only = true;
+      min_crashes = 1;
+      starvation = false;
+    }
+  in
+  for i = 0 to 499 do
+    let s = Fuzz_driver.scenario_of_trial ~seed:50000 cfg i in
+    verdicts_equal
+      (Printf.sprintf "trial %d" i)
+      { s with Scenario.max_delay = 60 };
+    verdicts_equal ~longer:1000
+      (Printf.sprintf "trial %d, max_delay 200" i)
+      { s with Scenario.max_delay = 200 }
+  done
+
 (* Over the whole corpus, and over loadgen traffic with the batching
    mode on (crashes and channel delay included). *)
 let trace_well_formed () =
@@ -446,4 +498,8 @@ let suite =
   @ List.map
       (QCheck_alcotest.to_alcotest ~long:false)
       [ strict_holds_under_crashes; pairwise_holds; e2e_random; e2e_claims ]
-  @ [ t "trace well-formed: corpus and batched loadgen" `Quick trace_well_formed ]
+  @ [
+      t "trace well-formed: corpus and batched loadgen" `Quick trace_well_formed;
+      t "early quiescence never changes a verdict" `Quick
+        early_quiescence_keeps_verdicts;
+    ]

@@ -12,6 +12,30 @@ let gen_fp n =
   |> QCheck.set_print (fun (seed, fp) ->
          Format.asprintf "seed %d: %a" seed Failure_pattern.pp fp)
 
+(* Whether every component of [mu], at every process and group pair,
+   answers at each tick of [from .. from + span] what it answers at
+   [from]: the claim a settle tick makes. *)
+let constant_from (mu : Mu.t) ~from ~span =
+  let gids = Topology.gids mu.Mu.topo in
+  let same_at t p =
+    mu.Mu.gamma p t = mu.Mu.gamma p from
+    && List.for_all
+         (fun g ->
+           mu.Mu.omega g p t = mu.Mu.omega g p from
+           && mu.Mu.gamma_groups p t g = mu.Mu.gamma_groups p from g
+           && List.for_all
+                (fun h ->
+                  Option.equal Pset.equal (mu.Mu.sigma g h p t)
+                    (mu.Mu.sigma g h p from)
+                  && mu.Mu.omega_inter g h p t = mu.Mu.omega_inter g h p from
+                  && mu.Mu.indicator g h p t = mu.Mu.indicator g h p from)
+                gids)
+         gids
+  in
+  List.for_all
+    (fun t -> List.for_all (same_at t) (List.init (Topology.n mu.Mu.topo) Fun.id))
+    (List.init span (fun d -> from + d + 1))
+
 let failure_pattern_unit () =
   let fp = Failure_pattern.of_crashes ~n:4 [ (1, 5); (3, 2) ] in
   Alcotest.(check bool) "p1 alive at 4" false (Failure_pattern.is_crashed_at fp 1 4);
@@ -141,7 +165,8 @@ let derive_from_perfect =
       let gamma_ok =
         Axioms.gamma topo ~families ~horizon ~tail fp mu.Mu.gamma = Ok ()
       in
-      sigma_ok && omega_ok && gamma_ok)
+      sigma_ok && omega_ok && gamma_ok
+      && constant_from mu ~from:mu.Mu.settle ~span:40)
 
 let prop51_gamma_from_indicators () =
   (* Proposition 51: ∧ 1^{g∩h} is stronger than γ. *)

@@ -44,20 +44,17 @@ let config ?(crashes = []) ?(faults = Channel_fault.none)
 let stubborn ~drop ~delay = { Channel_fault.drop; dup = 0; delay; stubborn = true }
 
 (* State, stats and fired flags of [moves] pinned from the initial
-   state, which is built the way the explorer builds its root (for
-   scenarios without a detector ablation). *)
+   state, which is built the way the explorer builds its root. *)
 let pinned sc moves =
   let topo = Scenario.topology sc in
   let fp = Scenario.failure_pattern sc in
-  let mu =
-    Mu.make ~max_delay:sc.Scenario.max_delay ~seed:sc.Scenario.seed topo fp
-  in
   let st =
     Algorithm1.create ~variant:sc.Scenario.variant ~faults:sc.Scenario.faults
-      ~fault_seed:sc.Scenario.seed ~topo ~mu ~workload:(Scenario.workload sc) ()
+      ~fault_seed:sc.Scenario.seed ~topo ~mu:(Scenario.mu sc)
+      ~workload:(Scenario.workload sc) ()
   in
   let stats, fired =
-    Engine.run_pinned ~fp ~seed:sc.Scenario.seed
+    Engine.run_pinned ~fp
       ~moves:
         (Array.of_list
            (List.map (function Explore.Step p -> Some p | Explore.Idle -> None) moves))
@@ -519,6 +516,34 @@ let render_matches_printf () =
     true
     (!pending > 0 && !lost > 0)
 
+(* The steady-time cut is sound only if no detector output changes
+   from t_steady on, so that idling past it changes nothing. Generated
+   crash scenarios under every ablation, with the generator's delay
+   bounds (1–8). *)
+let steady_time_settles_mu () =
+  let cfg =
+    {
+      Scenario_gen.default with
+      Scenario_gen.min_crashes = 1;
+      cyclic_only = true;
+      starvation = false;
+    }
+  in
+  for i = 0 to 59 do
+    let s = Fuzz_driver.scenario_of_trial ~seed:7 cfg i in
+    List.iter
+      (fun ablation ->
+        let s = { s with Scenario.ablation } in
+        if
+          not
+            (Test_detectors.constant_from (Scenario.mu s)
+               ~from:(Explore.steady_time s) ~span:40)
+        then
+          Alcotest.failf "trial %d: μ changes after t_steady = %d" i
+            (Explore.steady_time s))
+      [ Scenario.Full; Scenario.Lying_gamma; Scenario.Always_gamma ]
+  done
+
 let suite =
   let t = Alcotest.test_case in
   [
@@ -534,4 +559,5 @@ let suite =
     t "fault configs: pinned counts" `Quick explore_under_faults;
     t "derived children = replayed prefixes" `Quick derived_equals_replayed;
     t "render = Printf reference" `Quick render_matches_printf;
+    t "steady time: μ constant from t_steady on" `Quick steady_time_settles_mu;
   ]
