@@ -5,7 +5,25 @@
     [dst(m) ∩ dst(m')] delivers [m] while not having delivered [m']
     (§2.2); [m ↝ m'] holds when [m] is delivered in real time before
     [m'] is multicast (§6.1). Real time is the global sequence order of
-    effects in the trace. *)
+    effects in the trace.
+
+    What each property reads. Besides the workload and the topology,
+    the safety properties (all but {!termination}) read only the
+    trace's [Invoke], [Send] and [Deliver] events, with their sequence
+    numbers, and whether each process took a step
+    ([stats.steps.(p) > 0]). No safety property reads the time, a
+    [Phase_change] event, the failure pattern or the logs:
+    - {!integrity}: deliveries and invocations;
+    - {!ordering} and {!pairwise_ordering}: deliveries;
+    - {!strict_ordering}: deliveries and invocations;
+    - {!group_sequential}: sends and deliveries;
+    - {!minimality}: invocations and which processes stepped (its
+      failure message also names the step count).
+
+    {!termination} reads deliveries, invocations and the failure
+    pattern. The explorer skips the safety check of a node that changed
+    nothing on this list ({!Explore.safety_unchanged}), so a property
+    that reads more must extend it. *)
 
 type verdict = (unit, string) result
 

@@ -38,8 +38,10 @@ type t = {
   req_at : int array;
   (* LOG_{g∩h}, indexed by the normalised pair ((g, g) is LOG_g);
      [None] until first touched. An array because the lookup sits in
-     every guard of the stepper's hot path. *)
+     every guard of the stepper's hot path. [owned.(g).(h)]: this state
+     alone holds the log, so a write may go to it in place. *)
   logs : datum Log.t option array array;
+  owned : bool array array;
   (* The shared lists L_g of the Prop. 1 reduction (append order,
      newest first) and whether a message has been listed. *)
   lists : int list ref array;
@@ -50,7 +52,8 @@ type t = {
      is O(|γ|) membership tests instead of a full LOG_g scan. *)
   pend_hs : Topology.gid list array;
   pend_k : int array;
-  cons : (int * Topology.gid list, int) Consensus_table.t;
+  mutable cons : (int * Topology.gid list, int) Consensus_table.t;
+  mutable cons_owned : bool;
   phase : Trace.phase array array; (* phase.(p).(m) *)
   (* H(p, g) of line 20, cached: h_key.(p) maps g to the family key. *)
   h_key : (Topology.gid * Topology.gid list) list array;
@@ -101,7 +104,40 @@ let log st g h =
   | None ->
       let l = Log.create ~compare:compare_datum in
       st.logs.(g).(h) <- Some l;
+      st.owned.(g).(h) <- true;
       l
+
+(* Copy-on-write ([copy]): before a write to LOG_{g∩h}, a state that
+   shares the log takes its own clone — unless [noop] says the write
+   would change nothing, so a log stays shared for as long as neither
+   side really writes it. *)
+let own st g h ~noop d =
+  let g, h = if g <= h then (g, h) else (h, g) in
+  if not st.owned.(g).(h) then begin
+    let l = log st g h in
+    if not (noop l d) then begin
+      st.logs.(g).(h) <- Some (Log.copy l);
+      st.owned.(g).(h) <- true
+    end
+  end
+
+let append st g h d =
+  own st g h ~noop:Log.mem d;
+  Log.append (log st g h) d
+
+let bump_and_lock st g h d k =
+  own st g h ~noop:Log.locked d;
+  Log.bump_and_lock (log st g h) d k
+
+(* The consensus table under the same rule: a proposal to a decided
+   instance writes nothing. *)
+let propose st key v =
+  if (not st.cons_owned) && Option.is_none (Consensus_table.decided st.cons key)
+  then begin
+    st.cons <- Consensus_table.copy st.cons;
+    st.cons_owned <- true
+  end;
+  Consensus_table.propose st.cons key v
 
 let create ?(variant = Vanilla) ?(faults = Channel_fault.none) ?(fault_seed = 1)
     ~topo ~mu ~workload () =
@@ -142,11 +178,15 @@ let create ?(variant = Vanilla) ?(faults = Channel_fault.none) ?(fault_seed = 1)
     logs =
       Array.make_matrix (Topology.num_groups topo) (Topology.num_groups topo)
         None;
+    owned =
+      Array.make_matrix (Topology.num_groups topo) (Topology.num_groups topo)
+        false;
     lists = Array.init (Topology.num_groups topo) (fun _ -> ref []);
     listed = Array.make k false;
     pend_hs = Array.make k [];
     pend_k = Array.make k 0;
     cons = Consensus_table.create ();
+    cons_owned = true;
     phase = Array.make_matrix n k Trace.Start;
     h_key;
     relevant;
@@ -165,20 +205,28 @@ let create ?(variant = Vanilla) ?(faults = Channel_fault.none) ?(fault_seed = 1)
     stab_done = Array.make_matrix k (Topology.num_groups topo) false;
   }
 
-(* Every mutable field gets its own storage; only the immutable data
-   ([topo], [mu], [msgs], [h_key], [groups_of], [faults], the event
-   list) is shared. Both levels of [logs] are copied so that a log
-   first touched in the copy stays absent from the original. *)
+(* The shared objects are copied on write: the copy holds the same
+   logs and consensus table, neither side owns them any more, and the
+   first write on either side clones the object it writes ([own],
+   [propose]). Reads stay on the shared object, whose read caches fill
+   idempotently. Every other mutable field gets its own storage; the
+   immutable data ([topo], [mu], [msgs], [h_key], [groups_of],
+   [faults], the event list) is shared. [logs] is copied one level
+   deep, so a log first touched in the copy stays absent from the
+   original. *)
 let copy st =
+  Array.iter (fun row -> Array.fill row 0 (Array.length row) false) st.owned;
+  st.cons_owned <- false;
   {
     st with
     req_at = Array.copy st.req_at;
-    logs = Array.map (Array.map (Option.map Log.copy)) st.logs;
+    logs = Array.map Array.copy st.logs;
+    owned = Array.map Array.copy st.owned;
     lists = Array.map (fun l -> ref !l) st.lists;
     listed = Array.copy st.listed;
     pend_hs = Array.copy st.pend_hs;
     pend_k = Array.copy st.pend_k;
-    cons = Consensus_table.copy st.cons;
+    cons_owned = false;
     phase = Array.map Array.copy st.phase;
     relevant = Array.copy st.relevant;
     visible_at = Array.map Array.copy st.visible_at;
@@ -294,7 +342,7 @@ let try_send st p t m =
        List.for_all (fun m' -> st.phase.(p).(m') = Trace.Delivered) older
      end
   && begin
-       ignore (Log.append (log st g g) (Msg m));
+       ignore (append st g g (Msg m));
        st.sent.(m) <- true;
        emit st (fun seq -> Trace.Send { m; p; time = t; seq });
        true
@@ -307,11 +355,10 @@ let try_pending st p t m =
   && st.sent.(m)
   && prefix_at_rank st p g g m (Trace.phase_rank Trace.Commit)
   && begin
-       let lg = log st g g in
        List.iter
          (fun h ->
-           let i = Log.append (log st g h) (Msg m) in
-           ignore (Log.append lg (Pend (m, h, i)));
+           let i = append st g h (Msg m) in
+           ignore (append st g g (Pend (m, h, i)));
            if not (List.mem h st.pend_hs.(m)) then
              st.pend_hs.(m) <- h :: st.pend_hs.(m);
            if i > st.pend_k.(m) then st.pend_k.(m) <- i)
@@ -331,10 +378,8 @@ let try_commit st p t m =
   && begin
        let fam_key = List.assoc g st.h_key.(p) in
        st.rounds <- st.rounds + 1;
-       let k = Consensus_table.propose st.cons (m, fam_key) st.pend_k.(m) in
-       List.iter
-         (fun h -> Log.bump_and_lock (log st g h) (Msg m) k)
-         st.groups_of.(p);
+       let k = propose st (m, fam_key) st.pend_k.(m) in
+       List.iter (fun h -> bump_and_lock st g h (Msg m) k) st.groups_of.(p);
        set_phase st p m Trace.Commit t;
        true
      end
@@ -353,7 +398,7 @@ let try_stabilize st p t m h =
   && (not st.stab_done.(m).(h))
   && prefix_at_rank st p g h m (Trace.phase_rank Trace.Stable)
   && begin
-       ignore (Log.append (log st g g) (Stab (m, h)));
+       ignore (append st g g (Stab (m, h)));
        st.stab_done.(m).(h) <- true;
        true
      end
@@ -441,6 +486,14 @@ let step st ~pid:p ~time:t =
   || try_each (try_list st p t)
 
 let trace st = Trace.make ~n:(Topology.n st.topo) (List.rev st.events)
+let events_newest_first st = st.events
+
+let events_since st ~tail =
+  let rec go acc l =
+    if l == tail then Some acc
+    else match l with [] -> None | ev :: rest -> go (ev :: acc) rest
+  in
+  go [] st.events
 let phase st ~pid ~m = st.phase.(pid).(m)
 
 let log_keys st =

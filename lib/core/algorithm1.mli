@@ -60,7 +60,20 @@ val copy : t -> t
 (** An independent state equal to the given one: stepping, releasing
     or touching a new log in either leaves the other unchanged, and
     [step] on the copy does what it would on the original. The
-    explorer derives each child node from a copy of its parent. *)
+    explorer derives each child node from a copy of its parent.
+
+    The shared objects are copied on write. The copy holds the same
+    {!Log.t} values and consensus table as the original, and neither
+    side owns them any more, so the first write on either side clones
+    the object it writes; an operation that would change nothing (an
+    [append] of a present datum, a [bump_and_lock] of a locked one, a
+    proposal to a decided instance) writes nothing. A log untouched
+    since the copy is therefore the same value on both sides, and its
+    {!log_snapshot} the physically equal list. [copy] writes to its
+    argument (it gives up ownership there too), and reads fill a
+    shared log's read caches, so two domains must not use states that
+    share a log: a state whose logs are all untouched ({!log_keys}
+    empty) shares none with its copies. *)
 
 val step : t -> pid:int -> time:int -> bool
 (** Execute at most one enabled action of process [pid]; returns
@@ -81,6 +94,19 @@ val enabled : t -> pid:int -> time:int -> bool
 
 val trace : t -> Trace.t
 (** Events recorded so far, in execution order. *)
+
+val events_newest_first : t -> Trace.event list
+(** The events of {!trace}, newest first, in O(1). *)
+
+val events_since : t -> tail:Trace.event list -> Trace.event list option
+(** [events_since st ~tail]: the events [st] recorded after [tail],
+    oldest first, when [tail] is physically a tail of
+    {!events_newest_first}[ st]; [None] otherwise. A {!copy} starts
+    from the physically equal list and each event is consed onto it,
+    so for a state derived from [st0] by copies and steps,
+    [events_since st ~tail:(events_newest_first st0)] is what it added.
+    It walks the added events only, or every event when [tail] is not a
+    tail. *)
 
 val phase : t -> pid:int -> m:int -> Trace.phase
 

@@ -214,25 +214,45 @@ let record tbl property detail witness =
   | Some prev when List.length prev.witness <= List.length witness -> ()
   | _ -> Hashtbl.replace tbl property { property; detail; witness }
 
-(* Safety = everything but termination, checked at every node. Returns
-   whether the node violates (the subtree is then pruned: violations
-   are monotone, deeper nodes only repeat them). *)
-let check_safety tbl o path =
+(* Safety = everything but termination. Returns whether the node
+   violates (the subtree is then pruned: violations are monotone,
+   deeper nodes only repeat them). [rpath] is the node's move prefix,
+   newest first. *)
+let check_safety tbl o rpath =
   List.fold_left
     (fun bad (name, verdict) ->
       match verdict with
       | Ok () -> bad
       | Error _ when String.equal name "termination" -> bad
       | Error e ->
-          record tbl name e path;
+          record tbl name e (List.rev rpath);
           true)
     false (Properties.all o)
+
+(* The safety properties read only the Invoke, Send and Deliver events
+   and whether each process has taken a step (properties.mli), so a
+   child that added no other event and gave no process its first step
+   has its parent's safety verdicts. *)
+let safety_unchanged ~parent:(st, (stats : Engine.stats))
+    (st', (stats' : Engine.stats)) =
+  (match
+     Algorithm1.events_since st' ~tail:(Algorithm1.events_newest_first st)
+   with
+  | Some added ->
+      List.for_all
+        (function Trace.Phase_change _ -> true | _ -> false)
+        added
+  | None -> false)
+  && Array.for_all2
+       (fun s s' -> s > 0 || s' = 0)
+       stats.Engine.steps stats'.Engine.steps
 
 (* Terminal nodes: no process can act and the clock is steady — a
    completed run or a genuine deadlock. Termination becomes meaningful
    here; with [claims] the prefix is re-replayed with per-tick
    snapshots for the Table 2 invariants. *)
-let check_terminal ctx c tbl st stats path =
+let check_terminal ctx c tbl st stats rpath =
+  let path = List.rev rpath in
   let o = outcome_of ctx st stats ~snapshots:[] in
   (match Properties.termination o with
   | Ok () -> ()
@@ -328,62 +348,76 @@ let candidates ctx c ~st ~stats ~t =
 (* DFS                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let rec visit ctx c cache_tbl vt ~path ~st ~stats ~sleep ~t ~remaining =
+(* A node: [rpath] is its move prefix, newest first; [segs] are its
+   parent's fingerprint segments; [recheck] is false when its parent
+   passed the safety check and [safety_unchanged] holds. *)
+let rec visit ctx c cache_tbl vt ~rpath ~st ~stats ~segs ~recheck ~sleep ~t
+    ~remaining =
   if ctx.stop_on_first && Hashtbl.length vt > 0 then ()
-  else visit_live ctx c cache_tbl vt ~path ~st ~stats ~sleep ~t ~remaining
+  else
+    visit_live ctx c cache_tbl vt ~rpath ~st ~stats ~segs ~recheck ~sleep ~t
+      ~remaining
 
-and visit_live ctx c cache_tbl vt ~path ~st ~stats ~sleep ~t ~remaining =
+and visit_live ctx c cache_tbl vt ~rpath ~st ~stats ~segs ~recheck ~sleep ~t
+    ~remaining =
   c.c_nodes <- c.c_nodes + 1;
   if t > c.c_max_depth then c.c_max_depth <- t;
-  let covered =
-    ctx.cache
-    &&
-    let key =
-      (* The steady-time cut is only sound without faults: with copies
-         in flight, states at the same cut differ by their pending
-         arrivals, which the fingerprint encodes relative to the
-         absolute clock — so the absolute clock keys the cache. *)
-      let cut =
-        if Channel_fault.is_none ctx.sc.Scenario.faults then
-          min t ctx.t_steady
-        else t
+  let covered, segs =
+    if not ctx.cache then (false, Fingerprint.none)
+    else
+      let key, segs =
+        (* The steady-time cut is only sound without faults: with copies
+           in flight, states at the same cut differ by their pending
+           arrivals, which the fingerprint encodes relative to the
+           absolute clock — so the absolute clock keys the cache. *)
+        let cut =
+          if Channel_fault.is_none ctx.sc.Scenario.faults then
+            min t ctx.t_steady
+          else t
+        in
+        Fingerprint.of_state ~reuse:segs ~time:cut ~topo:ctx.topo ~msgs:ctx.k
+          st
       in
-      Fingerprint.of_state ~time:cut ~topo:ctx.topo ~msgs:ctx.k st
-    in
-    let entries = Option.value (Hashtbl.find_opt cache_tbl key) ~default:[] in
-    if
-      List.exists
-        (fun (s0, r0) -> Pset.subset s0 sleep && r0 >= remaining)
-        entries
-    then begin
-      c.c_cache_hits <- c.c_cache_hits + 1;
-      true
-    end
-    else begin
-      Hashtbl.replace cache_tbl key ((sleep, remaining) :: entries);
-      false
-    end
+      let entries = Option.value (Hashtbl.find_opt cache_tbl key) ~default:[] in
+      if
+        List.exists
+          (fun (s0, r0) -> Pset.subset s0 sleep && r0 >= remaining)
+          entries
+      then begin
+        c.c_cache_hits <- c.c_cache_hits + 1;
+        (true, segs)
+      end
+      else begin
+        Hashtbl.replace cache_tbl key ((sleep, remaining) :: entries);
+        (false, segs)
+      end
   in
   if not covered then begin
-    let o = outcome_of ctx st stats ~snapshots:[] in
-    if check_safety vt o path then () (* violating subtree pruned *)
+    if recheck && check_safety vt (outcome_of ctx st stats ~snapshots:[]) rpath
+    then () (* violating subtree pruned *)
     else if remaining = 0 then c.c_truncated <- c.c_truncated + 1
     else
       match candidates ctx c ~st ~stats ~t with
       | [] ->
           c.c_terminals <- c.c_terminals + 1;
-          check_terminal ctx c vt st stats path
+          check_terminal ctx c vt st stats rpath
       | children ->
           let explored = ref Pset.empty in
+          let child mv st' stats' ~sleep =
+            let recheck =
+              not (safety_unchanged ~parent:(st, stats) (st', stats'))
+            in
+            visit ctx c cache_tbl vt ~rpath:(mv :: rpath) ~st:st'
+              ~stats:stats' ~segs ~recheck ~sleep ~t:(t + 1)
+              ~remaining:(remaining - 1)
+          in
           List.iter
             (fun (mv, st', stats') ->
               match mv with
               | Idle ->
                   (* Idle is dependent on every move: it empties the
                      child's sleep set and never sleeps itself. *)
-                  visit ctx c cache_tbl vt ~path:(path @ [ Idle ]) ~st:st'
-                    ~stats:stats' ~sleep:Pset.empty ~t:(t + 1)
-                    ~remaining:(remaining - 1)
+                  child Idle st' stats' ~sleep:Pset.empty
               | Step p ->
                   if Pset.mem p sleep then
                     c.c_sleep_skips <- c.c_sleep_skips + 1
@@ -395,9 +429,7 @@ and visit_live ctx c cache_tbl vt ~path ~st ~stats ~sleep ~t ~remaining =
                           (Pset.union sleep !explored)
                       else Pset.empty
                     in
-                    visit ctx c cache_tbl vt ~path:(path @ [ Step p ]) ~st:st'
-                      ~stats:stats' ~sleep:child_sleep ~t:(t + 1)
-                      ~remaining:(remaining - 1);
+                    child mv st' stats' ~sleep:child_sleep;
                     explored := Pset.add p !explored
                   end)
             children
@@ -408,16 +440,18 @@ and visit_live ctx c cache_tbl vt ~path ~st ~stats ~sleep ~t ~remaining =
    reports are bit-identical across job counts. The branch input
    (including its sleep set, which depends on earlier siblings) is
    precomputed sequentially by [branch_inputs], so workers share
-   nothing mutable. *)
-let explore_branch ctx ~depth (mv, st, stats, sleep) =
+   nothing mutable: the root has touched no log, so the branches share
+   none (Algorithm1.copy), and the root's consensus table, empty, is
+   only read until a branch's first proposal clones it. *)
+let explore_branch ctx ~depth (mv, st, stats, recheck, sleep) =
   let c = fresh_acc () in
   let vt = Hashtbl.create 16 in
   let cache_tbl = Hashtbl.create 1024 in
-  visit ctx c cache_tbl vt ~path:[ mv ] ~st ~stats ~sleep ~t:1
-    ~remaining:(depth - 1);
+  visit ctx c cache_tbl vt ~rpath:[ mv ] ~st ~stats ~segs:Fingerprint.none
+    ~recheck ~sleep ~t:1 ~remaining:(depth - 1);
   (c, vt, if ctx.cache then Hashtbl.length cache_tbl else 0)
 
-let branch_inputs ctx children =
+let branch_inputs ctx ~root children =
   List.mapi
     (fun i (mv, st, stats) ->
       let sleep =
@@ -437,7 +471,7 @@ let branch_inputs ctx children =
                    Pset.empty
             else Pset.empty
       in
-      (mv, st, stats, sleep))
+      (mv, st, stats, not (safety_unchanged ~parent:root (st, stats)), sleep))
     children
 
 (* ------------------------------------------------------------------ *)
@@ -469,7 +503,8 @@ let run ?(por = true) ?(cache = true) ?(claims = false) ?(stop_on_first = false)
           check_terminal ctx rootc viols st0 stats0 [];
           [||]
       | children ->
-          let inputs = branch_inputs ctx children in
+          assert (List.is_empty (Algorithm1.log_keys st0));
+          let inputs = branch_inputs ctx ~root:(st0, stats0) children in
           Domain_pool.map ~jobs (List.length inputs) (fun i ->
               explore_branch ctx ~depth (List.nth inputs i))
   in

@@ -34,10 +34,12 @@
       budget explored fewer behaviours).
 
     Checking: the safety properties of {!Properties.all} (everything
-    but termination) are evaluated at {e every} node — safety
-    violations are monotone (delivery edges only accumulate), so
-    checking representatives of each commutation class preserves
-    detection. Termination is evaluated at terminal nodes (no process
+    but termination) hold at {e every} node — safety violations are
+    monotone (delivery edges only accumulate), so checking
+    representatives of each commutation class preserves detection. A
+    node runs the check unless its parent passed and the child changed
+    nothing the properties read ({!safety_unchanged}); the verdicts of
+    such a node are its parent's. Termination is evaluated at terminal nodes (no process
     can act and [t >= t_steady] — a genuine deadlock or a completed
     run); [~claims:true] additionally re-replays each terminal with
     per-tick snapshots and checks Table 2 ({!Claims.all}).
@@ -109,6 +111,16 @@ val derive :
     for [Idle]. Returns the child state, the stats and whether the move
     fired — what {!Engine.run_pinned} of the prefix plus [mv] returns.
     [st] is left unchanged. *)
+
+val safety_unchanged :
+  parent:Algorithm1.t * Engine.stats -> Algorithm1.t * Engine.stats -> bool
+(** [safety_unchanged ~parent:(st, stats) (st', stats')]: the child
+    [st'] added no event but [Phase_change] since [st] (or none), and
+    no process went from 0 steps in [stats] to at least 1 in [stats'].
+    The safety properties read nothing else that a step changes (see
+    {!Properties}), so such a child of a parent that passed them passes
+    them too, and the explorer skips its check. [false] when [st]'s
+    events are not a tail of [st']'s. *)
 
 val steady_time : Scenario.t -> int
 (** The later of the last workload release time and [settle] of

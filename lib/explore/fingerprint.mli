@@ -28,13 +28,53 @@ val equal : t -> t -> bool
 val to_hex : t -> string
 (** Stable hexadecimal rendering (for reports and witnesses). *)
 
-val render : time:int -> topo:Topology.t -> msgs:int -> Algorithm1.t -> string
-(** The canonical textual rendering that is digested — exposed so the
-    commutation tests can diff two states field by field. [msgs] is the
-    workload size [K] (message ids are [0 .. K-1]). *)
+type segments
+(** The rendering of a state cut into segments: one per log, one for
+    the Prop. 1 lists and listed flags, one for the consensus
+    decisions, one per process (phases and delivery order), each kept
+    with what it was rendered from. A state derived from the rendered
+    one re-renders only the segments that changed. *)
 
-val of_state : time:int -> topo:Topology.t -> msgs:int -> Algorithm1.t -> t
-(** [Digest] of {!render}. Does not mutate the state. The rendering
-    writes digits straight into one buffer and reads delivery orders
-    from one walk over the events, with no trace index — the explorer
-    computes it at every node it visits. *)
+val none : segments
+(** Nothing to reuse: every segment is rendered. *)
+
+val render_reusing :
+  segments ->
+  time:int ->
+  topo:Topology.t ->
+  msgs:int ->
+  Algorithm1.t ->
+  string * segments
+(** The rendering of the state and its segments, reusing those of
+    [segments] that are unchanged. A log's segment is reused while
+    {!Algorithm1.log_snapshot} returns the physically equal list. The
+    other segments are reused only when the state [segments] was
+    rendered from is an ancestor of this one (its
+    {!Algorithm1.events_newest_first} list is a tail of this one's):
+    the consensus segment while the number of decided instances is
+    unchanged (decisions only grow), the lists while no new event is
+    an [Invoke], and a process's segment while no new event names the
+    process. The time and the announcement visibility are rendered
+    every time. [segments] must be {!none} or come from a state of the
+    same configuration (topology and workload). The string does not
+    depend on [segments]: it is the segments concatenated in a fixed
+    order. *)
+
+val render : time:int -> topo:Topology.t -> msgs:int -> Algorithm1.t -> string
+(** {!render_reusing} with {!none}: the canonical textual rendering
+    that is digested, exposed so the commutation tests can diff two
+    states field by field. [msgs] is the workload size [K] (message ids
+    are [0 .. K-1]). *)
+
+val of_state :
+  reuse:segments ->
+  time:int ->
+  topo:Topology.t ->
+  msgs:int ->
+  Algorithm1.t ->
+  t * segments
+(** [Digest] of {!render_reusing}'s string, with the segments to pass
+    to the children. Does not mutate the state. The rendering writes
+    digits straight into buffers and keeps delivery orders in the
+    segments, with no trace index; the explorer computes it at every
+    node it visits, from its parent's segments. *)

@@ -267,50 +267,9 @@ let corpus_reverify () =
                 (r.Explore.depth <= max_depth)))
     failing
 
-(* Exhaustive search under channel faults, where POR is off and the
-   enablement hint decides which children are derived: the three
-   explore-faults configs of the end-to-end benchmark at default
-   depth. The counts pin how much the search covers — a hint that
-   wrongly rules a process out shrinks them without reporting
-   anything. Replayed steps pin that a child costs at most its one
-   pinned action: replaying each child's prefix from the initial state
-   executed 9,960, 40,148 and 108,099. A change that alters the search
-   on purpose updates them and says why. *)
-let explore_under_faults () =
-  let config name topo ~msgs ~drop ~delay
-      ~expect:(nodes, terminals, distinct, replayed) =
-    let sc = config topo ~msgs ~faults:(stubborn ~drop ~delay) in
-    let r = Explore.run sc in
-    let c = r.Explore.counters in
-    Alcotest.(check (list string)) (name ^ ": no violation") []
-      (Explore.failing_properties r);
-    Alcotest.(check bool) (name ^ ": por off under faults") false r.Explore.por;
-    Alcotest.(check (list int))
-      (name ^ ": nodes, terminals, distinct states, replayed steps")
-      [ nodes; terminals; distinct; replayed ]
-      [
-        c.Explore.nodes;
-        c.Explore.terminals;
-        c.Explore.distinct_states;
-        c.Explore.replayed_steps;
-      ]
-  in
-  config "chain-2-K1" (Topology.chain ~groups:2) ~msgs:1 ~drop:3000 ~delay:1
-    ~expect:(1170, 4, 488, 1162);
-  config "ring-3-K1" (Topology.ring ~groups:3) ~msgs:1 ~drop:3000 ~delay:2
-    ~expect:(3445, 24, 1584, 3421);
-  config "disjoint-2x2-K2"
-    (Topology.disjoint ~groups:2 ~size:2)
-    ~msgs:2 ~drop:1000 ~delay:1 ~expect:(9033, 4, 2807, 9005)
-
-(* ------------------------------------------------------------------ *)
-(* Derived children                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* The walk inputs: the eight end-to-end explore configs, ring-3 under
-   the other two variants, a lossy non-stubborn spec (copies get lost
-   for good) and a six-message config whose logs pass position 9. *)
-let walk_configs =
+(* The eight end-to-end explore configs: explore-faults' three, then
+   explore-clean's five. *)
+let e2e_configs =
   [
     ("chain-2-K1 faults", config (Topology.chain ~groups:2) ~msgs:1
        ~faults:(stubborn ~drop:3000 ~delay:1));
@@ -324,14 +283,147 @@ let walk_configs =
     ("disjoint-2x3-K2", config (Topology.disjoint ~groups:2 ~size:3) ~msgs:2);
     ("star-3-K1", config (Topology.star ~satellites:3 ~hub_size:3) ~msgs:1);
     ("figure1-K2", config Topology.figure1 ~msgs:2);
-    ("ring-3-K2 strict", config (Topology.ring ~groups:3) ~msgs:2
-       ~variant:Algorithm1.Strict);
-    ("ring-3-K2 pairwise", config (Topology.ring ~groups:3) ~msgs:2
-       ~variant:Algorithm1.Pairwise);
-    ("ring-3-K2 lossy", config (Topology.ring ~groups:3) ~msgs:2
-       ~faults:{ Channel_fault.drop = 3000; dup = 1000; delay = 2; stubborn = false });
-    ("ring-3-K6", config (Topology.ring ~groups:3) ~msgs:6);
   ]
+
+(* Exhaustive search of the eight end-to-end explore configs at
+   default depth: under channel faults POR is off and the enablement
+   hint decides which children are derived; without faults POR is on.
+   The counts pin how much the search covers — a hint that wrongly
+   rules a process out shrinks them without reporting anything, and
+   the fingerprint, copy-on-write and safety-by-delta shortcuts must
+   leave every count as the full copy, full render and full check
+   gave. Replayed steps pin that a child costs at most its one pinned
+   action: replaying each fault config child's prefix from the initial
+   state executed 9,960, 40,148 and 108,099. A change that alters the
+   search on purpose updates them and says why. *)
+let explore_under_faults () =
+  List.iter2
+    (fun (name, sc) (nodes, terminals, distinct, replayed) ->
+      let r = Explore.run sc in
+      let c = r.Explore.counters in
+      Alcotest.(check (list string)) (name ^ ": no violation") []
+        (Explore.failing_properties r);
+      Alcotest.(check bool) (name ^ ": por on iff fault-free")
+        (Channel_fault.is_none sc.Scenario.faults) r.Explore.por;
+      Alcotest.(check (list int))
+        (name ^ ": nodes, terminals, distinct states, replayed steps")
+        [ nodes; terminals; distinct; replayed ]
+        [
+          c.Explore.nodes;
+          c.Explore.terminals;
+          c.Explore.distinct_states;
+          c.Explore.replayed_steps;
+        ])
+    e2e_configs
+    [
+      (1170, 4, 488, 1162);
+      (3445, 24, 1584, 3421);
+      (9033, 4, 2807, 9005);
+      (305, 1, 126, 304);
+      (481, 24, 119, 473);
+      (609, 1, 252, 987);
+      (1145, 6, 494, 1144);
+      (11494, 72, 5273, 11493);
+    ]
+
+(* The lying-γ triangle: the minimal cyclic topology, one message per
+   group, and a γ that outputs no family although none is faulty. The
+   explorer finds the delivery cycle at depth 18 and not before; the
+   witness replays into the same cycle through the ordinary runner,
+   and neither the reductions nor the job count change the report. *)
+let lying_gamma_sc =
+  Scenario.make ~ablation:Scenario.Lying_gamma ~max_delay:1
+    ~msgs:[ (0, 0, 0); (1, 1, 0); (2, 2, 0) ]
+    ~n:3
+    [ g [ 0; 1 ]; g [ 1; 2 ]; g [ 2; 0 ] ]
+
+let lying_gamma_witness = "0 2 2 0 0 0 0 0 1 1 1 1 1 1 2 2 2 2"
+
+let lying_gamma_ordering () =
+  let r = Explore.run ~depth:18 lying_gamma_sc in
+  let found =
+    List.map
+      (fun v ->
+        (v.Explore.property, v.Explore.detail,
+         Explore.moves_to_string v.Explore.witness))
+      r.Explore.violations
+  in
+  Alcotest.(check (list (triple string string string)))
+    "depth 18: the ordering cycle"
+    [
+      ("ordering", "ordering: ↦ has the cycle m0 ↦ m1 ↦ m2", lying_gamma_witness);
+    ]
+    found;
+  Alcotest.(check (list int)) "depth 18: nodes, distinct states" [ 27405; 12040 ]
+    [ r.Explore.counters.Explore.nodes; r.Explore.counters.Explore.distinct_states ];
+  let v = List.hd r.Explore.violations in
+  (match
+     Properties.ordering
+       (Scenario.run (Explore.witness_scenario lying_gamma_sc v.Explore.witness))
+   with
+  | Error e -> Alcotest.(check string) "witness replays" v.Explore.detail e
+  | Ok () -> Alcotest.fail "witness replay is ordered");
+  let same label r' =
+    Alcotest.(check bool) label true
+      ({ r' with Explore.por = r.Explore.por; jobs = r.Explore.jobs } = r)
+  in
+  same "POR off: same report" (Explore.run ~por:false ~depth:18 lying_gamma_sc);
+  same "jobs 2: same report" (Explore.run ~jobs:2 ~depth:18 lying_gamma_sc);
+  let r17 = Explore.run ~depth:17 lying_gamma_sc in
+  Alcotest.(check (list string)) "depth 17: no violation" []
+    (Explore.failing_properties r17);
+  Alcotest.(check int) "depth 17: nodes" 22109 r17.Explore.counters.Explore.nodes
+
+(* [~claims:true] re-replays each terminal with per-tick snapshots and
+   checks Table 2 on it: it finds nothing on a clean and on a
+   fault-injected config, and its counters are the claims-free run's
+   but for the re-replayed steps (one terminal of 14 moves, and four
+   of 80 moves in all). *)
+let claims_counters () =
+  List.iter
+    (fun (name, replayed) ->
+      let sc = List.assoc name e2e_configs in
+      let r = Explore.run sc and rc = Explore.run ~claims:true sc in
+      Alcotest.(check (list string)) (name ^ ": no violation with claims") []
+        (Explore.failing_properties rc);
+      Alcotest.(check int) (name ^ ": replayed steps") replayed
+        rc.Explore.counters.Explore.replayed_steps;
+      Alcotest.(check bool) (name ^ ": other counters unchanged") true
+        ({
+           rc.Explore.counters with
+           Explore.replayed_steps = r.Explore.counters.Explore.replayed_steps;
+         }
+        = r.Explore.counters))
+    [ ("chain-3-K1", 304 + 14); ("disjoint-2x2-K2 faults", 9005 + 80) ]
+
+(* ------------------------------------------------------------------ *)
+(* Derived children                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The walk inputs, each with the moves its walks start with: the
+   eight end-to-end explore configs, ring-3 under the other two
+   variants, a lossy non-stubborn spec (copies get lost for good), a
+   six-message config whose logs pass position 9, and the lying-γ
+   triangle, whose walks start with its ordering witness and so go on
+   from parents that fail ordering. *)
+let walk_configs =
+  let witness =
+    List.map
+      (fun p -> Explore.Step (int_of_string p))
+      (String.split_on_char ' ' lying_gamma_witness)
+  in
+  List.map (fun (name, sc) -> (name, sc, [])) e2e_configs
+  @ [
+      ("ring-3-K2 strict", config (Topology.ring ~groups:3) ~msgs:2
+         ~variant:Algorithm1.Strict, []);
+      ("ring-3-K2 pairwise", config (Topology.ring ~groups:3) ~msgs:2
+         ~variant:Algorithm1.Pairwise, []);
+      ("ring-3-K2 lossy", config (Topology.ring ~groups:3) ~msgs:2
+         ~faults:{ Channel_fault.drop = 3000; dup = 1000; delay = 2; stubborn = false },
+       []);
+      ("ring-3-K6", config (Topology.ring ~groups:3) ~msgs:6, []);
+      ("lying-γ triangle", lying_gamma_sc, witness);
+    ]
 
 (* One seeded random walk: [default_depth] moves, each drawn uniformly
    from [Idle] and [Step p] for every process — crashed and
@@ -350,7 +442,7 @@ let walks = 4
    calls and returns. The walk goes on from that child. *)
 let iter_walks f =
   List.iter
-    (fun (name, sc) ->
+    (fun (name, sc, lead) ->
       let fp = Scenario.failure_pattern sc in
       for seed = 1 to walks do
         let st, stats, _ = pinned sc [] in
@@ -363,7 +455,7 @@ let iter_walks f =
                      Explore.derive ~fp st stats mv)
                in
                (st', stats', prefix))
-             (st, stats, []) (walk_moves sc ~seed))
+             (st, stats, []) (lead @ walk_moves sc ~seed))
       done)
     walk_configs
 
@@ -378,11 +470,40 @@ let render_raw sc st (stats : Engine.stats) =
 
 let events st = (Algorithm1.trace st).Trace.events
 
+(* The outcome the explorer checks at a node. *)
+let outcome sc st stats =
+  {
+    Runner.topo = Scenario.topology sc;
+    workload = Scenario.workload sc;
+    fp = Scenario.failure_pattern sc;
+    variant = sc.Scenario.variant;
+    trace = Algorithm1.trace st;
+    stats;
+    snapshots = [];
+    final_logs = [];
+    consensus_instances = Algorithm1.consensus_instances st;
+    consensus_rounds = Algorithm1.consensus_rounds st;
+    links = Algorithm1.link_stats st;
+  }
+
+(* Each safety property with whether it holds. *)
+let safety sc st stats =
+  List.filter_map
+    (fun (name, v) ->
+      if String.equal name "termination" then None else Some (name, Result.is_ok v))
+    (Properties.all (outcome sc st stats))
+
 (* A derived child equals the state, stats and fired flag that
-   Engine.run_pinned of the prefix plus the move returns, and deriving
-   leaves the parent as it was. *)
+   Engine.run_pinned of the prefix plus the move returns; deriving
+   leaves the parent as it was, and stepping the parent afterwards
+   leaves the child as it was (copy-on-write in both directions).
+   Explore.safety_unchanged holds exactly when the child added only
+   Phase_change events and gave no process its first step, and where
+   it lets the explorer skip the child's safety check, the child's
+   safety verdicts are its parent's: all Ok under a passing parent. *)
 let derived_equals_replayed () =
   let checked = ref 0 and fired_moves = ref 0 in
+  let skipped = ref 0 and failing_parents = ref 0 in
   iter_walks (fun ~name ~sc ~prefix st stats derive ->
       let parent_render = render_raw sc st stats and parent_events = events st in
       let ((st', stats', fired) as child) = derive () in
@@ -395,9 +516,10 @@ let derived_equals_replayed () =
       expect Alcotest.bool (at "parent events unchanged") true
         (parent_events = events st);
       let st_r, stats_r, fired_r = pinned sc prefix in
+      let child_render = render_raw sc st' stats' and child_events = events st' in
       expect Alcotest.string (at "render") (render_raw sc st_r stats_r)
-        (render_raw sc st' stats');
-      expect Alcotest.bool (at "events") true (events st_r = events st');
+        child_render;
+      expect Alcotest.bool (at "events") true (events st_r = child_events);
       expect Alcotest.bool (at "stats") true (stats_r = stats');
       expect Alcotest.bool (at "fired") fired_r.(List.length prefix - 1) fired;
       expect Alcotest.(list int) (at "instances, rounds")
@@ -405,6 +527,37 @@ let derived_equals_replayed () =
         [ Algorithm1.consensus_instances st'; Algorithm1.consensus_rounds st' ];
       expect Alcotest.bool (at "link stats") true
         (Algorithm1.link_stats st_r = Algorithm1.link_stats st');
+      let added =
+        List.filteri (fun i _ -> i >= List.length parent_events) child_events
+      in
+      let unchanged = Explore.safety_unchanged ~parent:(st, stats) (st', stats') in
+      expect Alcotest.bool (at "safety_unchanged = its definition")
+        (List.for_all (function Trace.Phase_change _ -> true | _ -> false) added
+        && not
+             (Array.exists2
+                (fun s s' -> s = 0 && s' > 0)
+                stats.Engine.steps stats'.Engine.steps))
+        unchanged;
+      if unchanged then begin
+        let verdicts = safety sc st stats in
+        if not (List.for_all snd verdicts) then incr failing_parents;
+        expect
+          Alcotest.(list (pair string bool))
+          (at "skipped child keeps its parent's safety verdicts") verdicts
+          (safety sc st' stats');
+        incr skipped
+      end;
+      (* Drain every process of the parent at the child's tick: each
+         write must clone the object it would share with the child. *)
+      for p = 0 to sc.Scenario.n - 1 do
+        while Algorithm1.step st ~pid:p ~time:stats.Engine.ticks_used do
+          ()
+        done
+      done;
+      expect Alcotest.string (at "child render after stepping the parent")
+        child_render (render_raw sc st' stats');
+      expect Alcotest.bool (at "child events after stepping the parent") true
+        (child_events = events st');
       incr checked;
       if fired then incr fired_moves;
       child);
@@ -412,7 +565,14 @@ let derived_equals_replayed () =
     (Printf.sprintf "walks fire and idle (%d of %d moves fired)" !fired_moves
        !checked)
     true
-    (!fired_moves > 0 && !fired_moves < !checked)
+    (!fired_moves > 0 && !fired_moves < !checked);
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "the delta rule skips children, failing parents included (%d skipped, \
+        %d under a failing parent)"
+       !skipped !failing_parents)
+    true
+    (!skipped > 0 && !failing_parents > 0)
 
 (* The Printf renderer the fingerprints were first defined by, kept as
    the reference: Fingerprint.render must produce the same bytes, so
@@ -473,22 +633,38 @@ let printf_render ~time ~topo ~msgs st =
   Buffer.contents b
 
 (* Fingerprint.render = the Printf reference on every walked state, at
-   the raw and at the steady-time cut. The walks must reach two-digit
-   times and log positions, and pending and lost announcement copies,
-   so every kind of field is rendered with more than one digit or
-   marker. *)
+   the raw and at the steady-time cut, and so is the rendering that
+   reuses the segments carried down the walk from its parent. The
+   walks must reach two-digit times and log positions, and pending and
+   lost announcement copies, so every kind of field is rendered with
+   more than one digit or marker. *)
 let render_matches_printf () =
   let max_time = ref 0 and max_pos = ref 0 in
   let pending = ref 0 and lost = ref 0 in
-  iter_walks (fun ~name ~sc ~prefix:_ _ _ derive ->
+  let carried = ref None in
+  iter_walks (fun ~name ~sc ~prefix:_ parent parent_stats derive ->
       let ((st, stats, _) as child) = derive () in
       let topo = Scenario.topology sc and msgs = List.length sc.Scenario.msgs in
+      let segments =
+        match !carried with
+        | Some (st0, segments) when st0 == parent -> segments
+        | _ ->
+            snd
+              (Fingerprint.render_reusing Fingerprint.none
+                 ~time:parent_stats.Engine.ticks_used ~topo ~msgs parent)
+      in
       List.iter
         (fun time ->
-          expect Alcotest.string
-            (Printf.sprintf "%s at t%d" name time)
-            (printf_render ~time ~topo ~msgs st)
-            (Fingerprint.render ~time ~topo ~msgs st))
+          let reference = printf_render ~time ~topo ~msgs st in
+          let at what = Printf.sprintf "%s at t%d: %s" name time what in
+          expect Alcotest.string (at "render") reference
+            (Fingerprint.render ~time ~topo ~msgs st);
+          let text, segments =
+            Fingerprint.render_reusing segments ~time ~topo ~msgs st
+          in
+          expect Alcotest.string (at "render from the parent's segments")
+            reference text;
+          carried := Some (st, segments))
         [ stats.Engine.ticks_used; min stats.Engine.ticks_used (Explore.steady_time sc) ];
       max_time := max !max_time stats.Engine.ticks_used;
       List.iter
@@ -557,6 +733,8 @@ let suite =
     t "pinned codec round-trip" `Quick pinned_codec;
     t "corpus findings re-verified exhaustively" `Quick corpus_reverify;
     t "fault configs: pinned counts" `Quick explore_under_faults;
+    t "lying γ: ordering cycle at depth 18" `Quick lying_gamma_ordering;
+    t "claims: clean, counters = claims-free" `Quick claims_counters;
     t "derived children = replayed prefixes" `Quick derived_equals_replayed;
     t "render = Printf reference" `Quick render_matches_printf;
     t "steady time: μ constant from t_steady on" `Quick steady_time_settles_mu;
