@@ -1,14 +1,15 @@
 (* The systematic-exploration scaling suite.
 
    Times lib/explore on small configurations: each case explores its
-   configuration exhaustively twice — once with partial-order reduction
-   and the visited-state cache, once with POR ablated — and records the
-   throughput (states/second), the POR reduction factor (naive nodes /
-   reduced nodes) and whether both sweeps reached the same verdict, the
-   soundness claim the test suite pins and this trajectory tracks over
-   time. Exploration is deterministic, so the node counts are exact and
-   comparable across PRs; only the wall-clock columns are machine
-   dependent.
+   configuration exhaustively with partial-order reduction and the
+   visited-state cache, repeated until the quota is spent (at least
+   once), then once with POR ablated. It records the throughput
+   (states/second of the median run), the POR reduction factor (naive
+   nodes / reduced nodes) and whether both sweeps reached the same
+   verdict, the soundness claim the test suite pins and this trajectory
+   tracks over time. Exploration is deterministic, so the node counts
+   are exact and comparable across PRs; only the wall-clock columns are
+   machine dependent.
 
    Wall-clock by design: this *is* the clock benchmark (exec scope
    already waives the rule; the attribute documents the intent). *)
@@ -66,6 +67,8 @@ let cases ~smoke =
       canned "disjoint-2x3-K2" (Topology.disjoint ~groups:2 ~size:3) ~msgs:2
         ~variant:Algorithm1.Vanilla;
       always_gamma_case;
+      canned "ring-3-K2" (Topology.ring ~groups:3) ~msgs:2
+        ~variant:Algorithm1.Vanilla;
     ]
 
 type result = {
@@ -76,26 +79,32 @@ type result = {
   distinct_states : int;
   violations : int;
   verdicts_equal : bool;
+  runs : int;
   states_per_sec : float;
-  ns_total : float;
+  ns_total : float;  (* the median POR-on run *)
 }
 
 let reduction r =
   if r.nodes > 0 then float_of_int r.nodes_naive /. float_of_int r.nodes
   else 0.
 
-let measure ~jobs c =
-  let timed f =
+let measure ~quota_ms ~jobs c =
+  let timed () =
     let t0 = Unix.gettimeofday () in
-    let r = f () in
+    let r = Explore.run ~jobs ?depth:c.bound c.sc in
     (r, Unix.gettimeofday () -. t0)
   in
-  let reduced, secs =
-    timed (fun () -> Explore.run ~jobs ?depth:c.bound c.sc)
-  in
-  let naive, _ =
-    timed (fun () -> Explore.run ~por:false ~jobs ?depth:c.bound c.sc)
-  in
+  let reduced, first = timed () in
+  let times = ref [ first ] and total = ref first in
+  let quota = float_of_int quota_ms /. 1000. in
+  while !total < quota && List.length !times < 10_000 do
+    let _, secs = timed () in
+    times := secs :: !times;
+    total := !total +. secs
+  done;
+  let runs = List.length !times in
+  let secs = List.nth (List.sort Float.compare !times) (runs / 2) in
+  let naive = Explore.run ~por:false ~jobs ?depth:c.bound c.sc in
   {
     case = c;
     depth = reduced.Explore.depth;
@@ -105,13 +114,15 @@ let measure ~jobs c =
     violations = List.length reduced.Explore.violations;
     verdicts_equal =
       Explore.failing_properties reduced = Explore.failing_properties naive;
+    runs;
     states_per_sec =
       (if secs > 0. then float_of_int reduced.Explore.counters.Explore.nodes /. secs
        else 0.);
     ns_total = secs *. 1e9;
   }
 
-let run_all ~jobs ~smoke = List.map (measure ~jobs) (cases ~smoke)
+let run_all ~quota_ms ~jobs ~smoke =
+  List.map (measure ~quota_ms ~jobs) (cases ~smoke)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -122,10 +133,10 @@ let print_text results =
   List.iter
     (fun r ->
       Printf.printf
-        "  %-22s depth %2d  %7d states (naive %8d, %5.1fx)  %8.0f st/s  %d \
-         violation(s)%s\n"
+        "  %-22s depth %2d  %7d states (naive %8d, %5.1fx)  %8.0f st/s \
+         (median of %d)  %d violation(s)%s\n"
         r.case.name r.depth r.nodes r.nodes_naive (reduction r)
-        r.states_per_sec r.violations
+        r.states_per_sec r.runs r.violations
         (if r.verdicts_equal then "" else "  VERDICTS DIFFER"))
     results
 
@@ -147,14 +158,14 @@ let json_trajectory ~label ~jobs results =
         "    { \"name\": \"%s\", \"n\": %d, \"groups\": %d, \"msgs\": %d,\n\
         \      \"depth\": %d, \"nodes\": %d, \"nodes_naive\": %d,\n\
         \      \"reduction_factor\": %.2f, \"distinct_states\": %d,\n\
-        \      \"states_per_sec\": %.0f, \"ns_total\": %.0f,\n\
+        \      \"states_per_sec\": %.0f, \"ns_total\": %.0f, \"runs\": %d,\n\
         \      \"violations\": %d, \"verdicts_equal\": %b }"
         (Scaling.json_escape r.case.name)
         r.case.sc.Scenario.n
         (List.length r.case.sc.Scenario.groups)
         (List.length r.case.sc.Scenario.msgs)
         r.depth r.nodes r.nodes_naive (reduction r) r.distinct_states
-        r.states_per_sec r.ns_total r.violations r.verdicts_equal)
+        r.states_per_sec r.ns_total r.runs r.violations r.verdicts_equal)
     results;
   Buffer.add_string b "\n    ]\n  } ]\n}\n";
   Buffer.contents b

@@ -231,7 +231,7 @@ let rec run_scaling () =
                 (Scaling.json_trajectory ~label ~quota_ms results)))
         (arg_string "--out"));
   run_checker_scaling ~quota_ms ~smoke ~label ();
-  run_explore_scaling ~smoke ~label ();
+  run_explore_scaling ~quota_ms ~smoke ~label ();
   run_faults_scaling ~smoke ~label ();
   run_throughput_scaling ~quota_ms ~smoke ~label ()
 
@@ -261,10 +261,10 @@ and run_checker_scaling ~quota_ms ~smoke ~label () =
         (arg_string "--checker-out")
 
 (* The systematic-exploration counterpart (see explore_scaling.ml):
-   deterministic state counts, so no quota — each case is explored
-   exactly twice (POR on/off). Its own output file via --explore-out. *)
-and run_explore_scaling ~smoke ~label () =
-  let results = Explore_scaling.run_all ~jobs ~smoke in
+   each case's POR-on exploration repeats until the quota is spent,
+   the POR-off one runs once. Its own output file via --explore-out. *)
+and run_explore_scaling ~quota_ms ~smoke ~label () =
+  let results = Explore_scaling.run_all ~quota_ms ~jobs ~smoke in
   match arg_string "--format" with
   | Some "json" -> (
       let json = Explore_scaling.json_trajectory ~label ~jobs results in

@@ -449,8 +449,10 @@ let no_por_arg =
     value & flag
     & info [ "no-por" ]
         ~doc:
-          "Ablate partial-order reduction (persistent and sleep sets). \
-           Verdicts are identical; only the state count grows.")
+          "Ablate partial-order reduction (persistent sets). Verdicts \
+           are identical; the state count grows on configurations of \
+           several independent components and stays the same on the \
+           others.")
 
 let no_cache_arg =
   Arg.(
@@ -568,9 +570,9 @@ let explore_cmd =
         "Bounded stateful model checking beside the random fuzzer: every \
          schedule of the configuration is explored up to a depth bound, \
          modulo partial-order reduction (persistent sets from the group \
-         intersection structure, sleep sets) and visited-state \
-         fingerprint caching. Reports are bit-identical for every \
-         $(b,--jobs) value.";
+         intersection structure) and visited-state fingerprint \
+         caching. Reports are bit-identical for every $(b,--jobs) \
+         value.";
       `P
         "The configuration comes from $(b,--topology) and friends, or \
          from a scenario file via $(b,--replay) (its schedule line is \

@@ -95,7 +95,6 @@ type acc = {
   mutable c_terminals : int;
   mutable c_truncated : int;
   mutable c_cache_hits : int;
-  mutable c_sleep_skips : int;
   mutable c_por_skips : int;
   mutable c_replayed_steps : int;
   mutable c_max_depth : int;
@@ -107,7 +106,6 @@ let fresh_acc () =
     c_terminals = 0;
     c_truncated = 0;
     c_cache_hits = 0;
-    c_sleep_skips = 0;
     c_por_skips = 0;
     c_replayed_steps = 0;
     c_max_depth = 0;
@@ -118,7 +116,7 @@ let make_ctx ~por ~cache ~claims ~stop_on_first sc =
   (match Scenario.validate sc with
   | Ok () -> ()
   | Error e -> invalid_arg ("Explore.run: " ^ e));
-  (* Under channel faults the persistent/sleep-set argument breaks:
+  (* Under channel faults the persistent-set argument breaks:
      announcement arrival times are absolute ticks drawn at listing
      time, so two independent moves no longer commute across ticks
      (swapping them shifts a listing — and with it every member's
@@ -351,14 +349,14 @@ let candidates ctx c ~st ~stats ~t =
 (* A node: [rpath] is its move prefix, newest first; [segs] are its
    parent's fingerprint segments; [recheck] is false when its parent
    passed the safety check and [safety_unchanged] holds. *)
-let rec visit ctx c cache_tbl vt ~rpath ~st ~stats ~segs ~recheck ~sleep ~t
+let rec visit ctx c cache_tbl vt ~rpath ~st ~stats ~segs ~recheck ~t
     ~remaining =
   if ctx.stop_on_first && Hashtbl.length vt > 0 then ()
   else
-    visit_live ctx c cache_tbl vt ~rpath ~st ~stats ~segs ~recheck ~sleep ~t
+    visit_live ctx c cache_tbl vt ~rpath ~st ~stats ~segs ~recheck ~t
       ~remaining
 
-and visit_live ctx c cache_tbl vt ~rpath ~st ~stats ~segs ~recheck ~sleep ~t
+and visit_live ctx c cache_tbl vt ~rpath ~st ~stats ~segs ~recheck ~t
     ~remaining =
   c.c_nodes <- c.c_nodes + 1;
   if t > c.c_max_depth then c.c_max_depth <- t;
@@ -378,19 +376,15 @@ and visit_live ctx c cache_tbl vt ~rpath ~st ~stats ~segs ~recheck ~sleep ~t
         Fingerprint.of_state ~reuse:segs ~time:cut ~topo:ctx.topo ~msgs:ctx.k
           st
       in
-      let entries = Option.value (Hashtbl.find_opt cache_tbl key) ~default:[] in
-      if
-        List.exists
-          (fun (s0, r0) -> Pset.subset s0 sleep && r0 >= remaining)
-          entries
-      then begin
-        c.c_cache_hits <- c.c_cache_hits + 1;
-        (true, segs)
-      end
-      else begin
-        Hashtbl.replace cache_tbl key ((sleep, remaining) :: entries);
-        (false, segs)
-      end
+      (* Each state keeps the largest remaining depth explored from it:
+         a visit with no more budget than that explores nothing new. *)
+      match Hashtbl.find_opt cache_tbl key with
+      | Some r0 when r0 >= remaining ->
+          c.c_cache_hits <- c.c_cache_hits + 1;
+          (true, segs)
+      | _ ->
+          Hashtbl.replace cache_tbl key remaining;
+          (false, segs)
   in
   if not covered then begin
     if recheck && check_safety vt (outcome_of ctx st stats ~snapshots:[]) rpath
@@ -402,76 +396,36 @@ and visit_live ctx c cache_tbl vt ~rpath ~st ~stats ~segs ~recheck ~sleep ~t
           c.c_terminals <- c.c_terminals + 1;
           check_terminal ctx c vt st stats rpath
       | children ->
-          let explored = ref Pset.empty in
-          let child mv st' stats' ~sleep =
-            let recheck =
-              not (safety_unchanged ~parent:(st, stats) (st', stats'))
-            in
-            visit ctx c cache_tbl vt ~rpath:(mv :: rpath) ~st:st'
-              ~stats:stats' ~segs ~recheck ~sleep ~t:(t + 1)
-              ~remaining:(remaining - 1)
-          in
           List.iter
             (fun (mv, st', stats') ->
-              match mv with
-              | Idle ->
-                  (* Idle is dependent on every move: it empties the
-                     child's sleep set and never sleeps itself. *)
-                  child Idle st' stats' ~sleep:Pset.empty
-              | Step p ->
-                  if Pset.mem p sleep then
-                    c.c_sleep_skips <- c.c_sleep_skips + 1
-                  else begin
-                    let child_sleep =
-                      if ctx.por && t >= ctx.t_steady then
-                        Pset.filter
-                          (fun q -> not (Topology.interacting ctx.topo p q))
-                          (Pset.union sleep !explored)
-                      else Pset.empty
-                    in
-                    child mv st' stats' ~sleep:child_sleep;
-                    explored := Pset.add p !explored
-                  end)
+              let recheck =
+                not (safety_unchanged ~parent:(st, stats) (st', stats'))
+              in
+              visit ctx c cache_tbl vt ~rpath:(mv :: rpath) ~st:st'
+                ~stats:stats' ~segs ~recheck ~t:(t + 1)
+                ~remaining:(remaining - 1))
             children
   end
 
 (* One root branch = one unit of [--jobs] fan-out. Fresh cache, fresh
    counters, fresh violation table per branch — also under jobs = 1, so
-   reports are bit-identical across job counts. The branch input
-   (including its sleep set, which depends on earlier siblings) is
-   precomputed sequentially by [branch_inputs], so workers share
-   nothing mutable: the root has touched no log, so the branches share
-   none (Algorithm1.copy), and the root's consensus table, empty, is
-   only read until a branch's first proposal clones it. *)
-let explore_branch ctx ~depth (mv, st, stats, recheck, sleep) =
+   reports are bit-identical across job counts. The branch inputs are
+   computed sequentially by [branch_inputs], so workers share nothing
+   mutable: the root has touched no log, so the branches share none
+   (Algorithm1.copy), and the root's consensus table, empty, is only
+   read until a branch's first proposal clones it. *)
+let explore_branch ctx ~depth (mv, st, stats, recheck) =
   let c = fresh_acc () in
   let vt = Hashtbl.create 16 in
   let cache_tbl = Hashtbl.create 1024 in
   visit ctx c cache_tbl vt ~rpath:[ mv ] ~st ~stats ~segs:Fingerprint.none
-    ~recheck ~sleep ~t:1 ~remaining:(depth - 1);
+    ~recheck ~t:1 ~remaining:(depth - 1);
   (c, vt, if ctx.cache then Hashtbl.length cache_tbl else 0)
 
-let branch_inputs ctx ~root children =
-  List.mapi
-    (fun i (mv, st, stats) ->
-      let sleep =
-        match mv with
-        | Idle -> Pset.empty
-        | Step p ->
-            if ctx.por && ctx.t_steady = 0 then
-              (* Same sleep rule as sequential siblings: earlier
-                 branches independent of this one are asleep here. *)
-              List.filteri (fun j _ -> j < i) children
-              |> List.fold_left
-                   (fun s (mvj, _, _) ->
-                     match mvj with
-                     | Step q when not (Topology.interacting ctx.topo q p) ->
-                         Pset.add q s
-                     | _ -> s)
-                   Pset.empty
-            else Pset.empty
-      in
-      (mv, st, stats, not (safety_unchanged ~parent:root (st, stats)), sleep))
+let branch_inputs ~root children =
+  List.map
+    (fun (mv, st, stats) ->
+      (mv, st, stats, not (safety_unchanged ~parent:root (st, stats))))
     children
 
 (* ------------------------------------------------------------------ *)
@@ -504,7 +458,7 @@ let run ?(por = true) ?(cache = true) ?(claims = false) ?(stop_on_first = false)
           [||]
       | children ->
           assert (List.is_empty (Algorithm1.log_keys st0));
-          let inputs = branch_inputs ctx ~root:(st0, stats0) children in
+          let inputs = branch_inputs ~root:(st0, stats0) children in
           Domain_pool.map ~jobs (List.length inputs) (fun i ->
               explore_branch ctx ~depth (List.nth inputs i))
   in
@@ -524,7 +478,7 @@ let run ?(por = true) ?(cache = true) ?(claims = false) ?(stop_on_first = false)
       terminals = sum (fun c -> c.c_terminals);
       truncated = sum (fun c -> c.c_truncated);
       cache_hits = sum (fun c -> c.c_cache_hits);
-      sleep_skips = sum (fun c -> c.c_sleep_skips);
+      sleep_skips = 0;
       por_skips = sum (fun c -> c.c_por_skips);
       replayed_steps = sum (fun c -> c.c_replayed_steps);
       distinct_states =
@@ -582,11 +536,11 @@ let pp_report fmt r =
   Format.fprintf fmt
     "@[<v>explored %d states (depth <= %d, t_steady = %d): %d terminal, %d \
      truncated@,\
-     reductions: %d persistent-set skips, %d sleep-set skips, %d cache hits \
-     (%d distinct states)@,\
+     reductions: %d persistent-set skips, %d cache hits (%d distinct \
+     states)@,\
      replayed %d protocol actions, max depth %d@]"
     c.nodes r.depth r.t_steady c.terminals c.truncated c.por_skips
-    c.sleep_skips c.cache_hits c.distinct_states c.replayed_steps c.max_depth;
+    c.cache_hits c.distinct_states c.replayed_steps c.max_depth;
   match r.violations with
   | [] -> Format.fprintf fmt "@.no violations@."
   | vs ->

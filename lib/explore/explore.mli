@@ -17,21 +17,16 @@
     changes nothing, so idling is pruned and states are fingerprinted
     with the canonical time [min t t_steady].
 
-    Partial-order reduction (on by default, [~por:false] ablates it):
-    - {e persistent sets}: in the steady regime the enabled processes
-      are restricted to one connected component of the
-      {!Topology.interacting} graph (the one with the fewest enabled
-      processes) — steps of processes in other components commute with
-      everything the component will ever do;
-    - {e sleep sets}: after exploring [Step p], a sibling [Step q]
-      independent of [p] is re-explored only on branches where it can
-      interleave differently (Godefroid's sleep sets, with [Idle]
-      treated as dependent on every move);
-    - {e visited-state caching} ([~cache:false] ablates it): a state is
-      pruned when it was already explored with a smaller-or-equal sleep
-      set and a greater-or-equal remaining depth (both guards are
-      needed: a cached visit with a larger sleep set or a shallower
-      budget explored fewer behaviours).
+    Reductions:
+    - {e persistent sets} (on by default, [~por:false] ablates them):
+      in the steady regime the enabled processes are restricted to one
+      of {!Topology.process_components} (the one with the fewest
+      enabled processes) — steps of processes in other components
+      commute with everything the component will ever do;
+    - {e visited-state caching} ([~cache:false] ablates it): each
+      fingerprint keeps the largest remaining depth explored from it,
+      and a revisit with no more remaining depth is pruned (a cached
+      visit with a shallower budget explored fewer behaviours).
 
     Checking: the safety properties of {!Properties.all} (everything
     but termination) hold at {e every} node — safety violations are
@@ -72,7 +67,10 @@ type counters = {
   terminals : int;  (** quiescent leaves (deadlocked or completed runs) *)
   truncated : int;  (** leaves cut by the depth bound *)
   cache_hits : int;  (** revisits pruned by the visited-state cache *)
-  sleep_skips : int;  (** enabled moves suppressed by sleep sets *)
+  sleep_skips : int;
+      (** always [0]: the explorer has no sleep sets. The field and its
+          {!report_to_json} key stay while the end-to-end benchmark
+          ([bench/e2e]) reads them. *)
   por_skips : int;  (** enabled moves outside the persistent set *)
   replayed_steps : int;
       (** protocol actions executed by child derivations (at most one

@@ -1,5 +1,5 @@
-(* Group-family sharding: processes in different components of the
-   [Topology.interacting] relation can never influence each other in
+(* Group-family sharding: processes in different components of
+   [Topology.process_components] can never influence each other in
    any run (every shared object is keyed by the groups of the process
    touching it), so a scenario splits into one fully independent
    sub-scenario per component. Each shard is renumbered to a dense

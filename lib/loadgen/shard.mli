@@ -1,13 +1,13 @@
 (** Group-family sharding across [Domain_pool] workers.
 
-    Processes in different components of {!Topology.interacting} can
-    never influence each other — genuineness makes independent groups
-    parallelizable — so a scenario splits into one fully independent
-    sub-scenario per component. Each shard is renumbered to a dense
-    process/group/message universe and run by the ordinary {!Runner};
-    per-shard traces are bit-identical whether the shards run
-    sequentially ([jobs = 1]) or in parallel, the contract pinned by
-    the throughput identity suite. *)
+    Processes in different components of
+    {!Topology.process_components} can never influence each other —
+    genuineness makes independent groups parallelizable — so a scenario
+    splits into one fully independent sub-scenario per component. Each
+    shard is renumbered to a dense process/group/message universe and
+    run by the ordinary {!Runner}; per-shard traces are bit-identical
+    whether the shards run sequentially ([jobs = 1]) or in parallel,
+    the contract pinned by the throughput identity suite. *)
 
 type shard = {
   label : int;  (** component label: its smallest global process id *)

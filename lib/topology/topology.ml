@@ -49,17 +49,12 @@ let groups_of t p =
 (* Two processes interact when they share a destination group: every
    shared object of Algorithm 1 (a log LOG_{g∩h}, a list L_g, a
    consensus instance for a g-bound message) is keyed by groups of the
-   process touching it, so steps of non-interacting processes operate
-   on disjoint objects and commute — the independence relation of the
-   systematic explorer (lib/explore). *)
-let interacting t p q =
-  List.exists (fun g -> Pset.mem q t.groups.(g)) (groups_of t p)
-
-(* Connected components of the interaction relation, computed over the
-   groups (all members of one group interact pairwise; intersecting
-   groups share a member, so merging along group membership reaches the
-   transitive closure). Canonical labelling: a component is named by
-   its smallest process. *)
+   process touching it, so processes in different components of that
+   relation operate on disjoint objects and commute. The components are
+   computed over the groups (all members of one group interact
+   pairwise; intersecting groups share a member, so merging along group
+   membership reaches the transitive closure). Canonical labelling: a
+   component is named by its smallest process. *)
 let process_components t =
   let parent = Array.init t.n Fun.id in
   let rec find i =

@@ -42,19 +42,15 @@ val inter : t -> gid -> gid -> Pset.t
 val intersecting_pairs : t -> (gid * gid) list
 (** All pairs [(g, h)] with [g < h] and [g ∩ h ≠ ∅]. *)
 
-val interacting : t -> int -> int -> bool
-(** [interacting topo p q]: whether [p] and [q] share a destination
-    group. Every shared object of Algorithm 1 is keyed by groups of the
-    process touching it, so steps of non-interacting processes commute
-    — the independence relation driving partial-order reduction in the
-    systematic explorer (see DESIGN.md). Reflexive for any process
-    belonging to at least one group. *)
-
 val process_components : t -> int array
-(** Connected components of the {!interacting} relation, one label per
+(** The interaction components: two processes are in one component when
+    they share a destination group, closed transitively. One label per
     process; the label is the component's smallest process id, so the
-    numbering is canonical. Processes in different components can never
-    influence each other in any run. *)
+    numbering is canonical. Every shared object of Algorithm 1 is keyed
+    by groups of the process touching it, so processes in different
+    components can never influence each other in any run — the
+    independence behind the explorer's persistent sets and
+    [Shard]'s split (see DESIGN.md). *)
 
 (** {1 Families and cycles} *)
 

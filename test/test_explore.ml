@@ -70,17 +70,18 @@ let render_after sc moves =
       ~topo:(Scenario.topology sc) ~msgs:(List.length sc.Scenario.msgs) st,
     Array.for_all Fun.id fired )
 
-(* POR soundness at the engine level: stepping two non-interacting
-   processes in either order yields fingerprint-identical states, for
-   every non-interacting pair of the topology. *)
+(* POR soundness at the engine level: stepping two processes of
+   different interaction components in either order yields
+   fingerprint-identical states, for every such pair of the topology. *)
 let commutation () =
   let sc = disjoint_sc in
   let topo = Scenario.topology sc in
   let n = Topology.n topo in
+  let comp = Topology.process_components topo in
   let checked = ref 0 in
   for p = 0 to n - 1 do
     for q = p + 1 to n - 1 do
-      if not (Topology.interacting topo p q) then begin
+      if comp.(p) <> comp.(q) then begin
         let r_pq, _ = render_after sc [ p; q ] in
         let r_qp, _ = render_after sc [ q; p ] in
         Alcotest.(check string)
@@ -157,7 +158,9 @@ let ablation_identity () =
       ("always-gamma", always_gamma_sc, Some 8);
     ]
 
-(* POR actually reduces on multi-component topologies. *)
+(* POR actually reduces on multi-component topologies, and never grows
+   the tree on connected ones, where persistent sets prune nothing and
+   the visited cache must hit as often as without POR. *)
 let por_reduces () =
   let nodes ~por =
     (Explore.run ~por ~jobs:2 disjoint_sc).Explore.counters.Explore.nodes
@@ -166,7 +169,24 @@ let por_reduces () =
   Alcotest.(check bool)
     (Printf.sprintf "POR shrinks the tree (%d < %d)" with_por without)
     true
-    (with_por * 10 < without)
+    (with_por * 10 < without);
+  List.iter
+    (fun (name, sc) ->
+      let on = Explore.run ~depth:8 sc
+      and off = Explore.run ~por:false ~depth:8 sc in
+      let nodes r = r.Explore.counters.Explore.nodes in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: POR never grows the tree (%d <= %d)" name
+           (nodes on) (nodes off))
+        true
+        (nodes on <= nodes off);
+      Alcotest.(check (list string)) (name ^ ": same verdicts")
+        (Explore.failing_properties off) (Explore.failing_properties on))
+    [
+      ("chain-2-K2", config (Topology.chain ~groups:2) ~msgs:2);
+      ("ring-3-K2 pairwise", config (Topology.ring ~groups:3) ~msgs:2
+         ~variant:Algorithm1.Pairwise);
+    ]
 
 (* Reports are bit-identical across the worker-domain count. *)
 let jobs_identity () =
@@ -497,10 +517,12 @@ let safety sc st stats =
    Engine.run_pinned of the prefix plus the move returns; deriving
    leaves the parent as it was, and stepping the parent afterwards
    leaves the child as it was (copy-on-write in both directions).
-   Explore.safety_unchanged holds exactly when the child added only
-   Phase_change events and gave no process its first step, and where
-   it lets the explorer skip the child's safety check, the child's
-   safety verdicts are its parent's: all Ok under a passing parent. *)
+   Algorithm1.events_since finds no lineage in an equal but separately
+   built event list. Explore.safety_unchanged holds exactly when the
+   child added only Phase_change events and gave no process its first
+   step, and where it lets the explorer skip the child's safety check,
+   the child's safety verdicts are its parent's: all Ok under a passing
+   parent. *)
 let derived_equals_replayed () =
   let checked = ref 0 and fired_moves = ref 0 in
   let skipped = ref 0 and failing_parents = ref 0 in
@@ -520,6 +542,14 @@ let derived_equals_replayed () =
       expect Alcotest.string (at "render") (render_raw sc st_r stats_r)
         child_render;
       expect Alcotest.bool (at "events") true (events st_r = child_events);
+      (* The replayed copy's events equal the child's but are no tail of
+         them: no lineage, so events_since must not return them all. *)
+      (match Algorithm1.events_newest_first st_r with
+      | [] -> ()
+      | tail ->
+          expect Alcotest.bool (at "events_since a replayed copy's events")
+            true
+            (Option.is_none (Algorithm1.events_since st' ~tail)));
       expect Alcotest.bool (at "stats") true (stats_r = stats');
       expect Alcotest.bool (at "fired") fired_r.(List.length prefix - 1) fired;
       expect Alcotest.(list int) (at "instances, rounds")
