@@ -54,11 +54,17 @@ type t = {
   pend_k : int array;
   mutable cons : (int * Topology.gid list, int) Consensus_table.t;
   mutable cons_owned : bool;
-  phase : Trace.phase array array; (* phase.(p).(m) *)
+  phase : Trace.phase array; (* phase.(p * k + m) *)
   (* H(p, g) of line 20, cached: h_key.(p) maps g to the family key. *)
   h_key : (Topology.gid * Topology.gid list) list array;
-  (* Messages addressed to a group the process belongs to. *)
-  relevant : int list array;
+  (* [stages.(stage_count * p + s)]: the messages at stage [s] of p (see
+     [s_unlisted] .. [s_stable]), ascending. Each stage is the first
+     conjunct of one cascade level of [step], so a level walks only the
+     messages that pass it. A message moves only where the stepper
+     writes the state the stage is read from ([try_list], [try_send],
+     [set_phase]); it is in no stage of p once delivered there, nor
+     while unlisted at a member other than its source. *)
+  stages : int list array;
   groups_of : Topology.gid list array;
   (* Channel faults (lib/net's Channel_fault) applied to the one piece
      of genuine inter-process communication the Prop. 1 reduction has:
@@ -68,10 +74,10 @@ type t = {
      so it is a pure function of the scenario and independent of the
      schedule. [max_int] marks a copy lost for good (never under
      stubborn). [vis_horizon] is the largest finite arrival tick, the
-     engine's [live_until] bound. *)
+     engine's [live_until] bound. Empty without faults. *)
   faults : Channel_fault.spec;
   fault_seed : int;
-  visible_at : int array array; (* visible_at.(p).(m) *)
+  visible_at : int array; (* visible_at.(p * k + m) *)
   mutable vis_horizon : int;
   mutable links : Channel_fault.stats;
   mutable events : Trace.event list; (* newest first *)
@@ -79,14 +85,6 @@ type t = {
   (* Commit rounds — the consensus invocations a networked backend
      would make, one per proposal. *)
   mutable rounds : int;
-  (* Delivered is absorbing at p: no guard of (p, m) can fire again, so
-     [step] and [enabled] drop finished messages from [relevant.(p)] —
-     the candidate set both iterate. [del_seen] counts local
-     deliveries, [del_pruned] the count at the last prune; comparing
-     the two makes the prune O(1) when nothing changed. Purely an
-     iteration-space reduction: a pruned message fails every guard. *)
-  del_seen : int array;
-  del_pruned : int array;
   (* Membership caches for the two hottest [Log.mem] probes — a datum
      key hashes a variant tuple, so the Hashtbl probe costs more than
      the guard around it. [sent.(m)]: Msg m is in LOG_g (written only
@@ -96,6 +94,35 @@ type t = {
   sent : bool array;
   stab_done : bool array array;
 }
+
+(* The stages of a message at a process, in the order they are passed;
+   each names the cascade level of [step] that reads it. *)
+let s_unlisted = 0 (* p is m's source, m not yet in L_g: multicast *)
+let s_listed = 1 (* in L_g, not yet in LOG_g: A.multicast, line 7 *)
+let s_sent = 2 (* in LOG_g, Start at p: pending, lines 8–15 *)
+let s_pending = 3 (* Pending at p: commit, lines 16–24 *)
+let s_commit = 4 (* Commit at p: stabilize and stable, lines 25–33 *)
+let s_stable = 5 (* Stable at p: deliver, lines 34–37 *)
+let stage_count = 6
+
+(* [phase] and [visible_at] cell of (p, m). *)
+let cell st p m = (p * Array.length st.msgs) + m
+
+let rec insert m = function
+  | m' :: rest when m' < m -> m' :: insert m rest
+  | l -> m :: l
+
+let rec remove m = function
+  | [] -> []
+  | m' :: rest -> if m' = m then rest else m' :: remove m rest
+
+let enter st p m s =
+  let i = (stage_count * p) + s in
+  st.stages.(i) <- insert m st.stages.(i)
+
+let leave st p m s =
+  let i = (stage_count * p) + s in
+  st.stages.(i) <- remove m st.stages.(i)
 
 let log st g h =
   let g, h = if g <= h then (g, h) else (h, g) in
@@ -163,12 +190,14 @@ let create ?(variant = Vanilla) ?(faults = Channel_fault.none) ?(fault_seed = 1)
             (g, key))
           (Topology.groups_of topo p))
   in
-  let relevant =
-    Array.init n (fun p ->
-        List.filter
-          (fun m -> Pset.mem p (Topology.group topo msgs.(m).Amsg.dst))
-          (List.init k Fun.id))
-  in
+  (* Every message starts unlisted at its source (a source outside the
+     destination group never lists it). *)
+  let stages = Array.make (stage_count * n) [] in
+  for m = k - 1 downto 0 do
+    let { Amsg.src; dst; _ } = msgs.(m) in
+    if Pset.mem src (Topology.group topo dst) then
+      stages.(stage_count * src) <- m :: stages.(stage_count * src)
+  done;
   {
     topo;
     mu;
@@ -187,20 +216,19 @@ let create ?(variant = Vanilla) ?(faults = Channel_fault.none) ?(fault_seed = 1)
     pend_k = Array.make k 0;
     cons = Consensus_table.create ();
     cons_owned = true;
-    phase = Array.make_matrix n k Trace.Start;
+    phase = Array.make (n * k) Trace.Start;
     h_key;
-    relevant;
+    stages;
     groups_of = Array.init n (Topology.groups_of topo);
     faults;
     fault_seed;
-    visible_at = Array.make_matrix n k 0;
+    visible_at =
+      (if Channel_fault.is_none faults then [||] else Array.make (n * k) 0);
     vis_horizon = 0;
     links = Channel_fault.stats_zero;
     events = [];
     seq = 0;
     rounds = 0;
-    del_seen = Array.make n 0;
-    del_pruned = Array.make n 0;
     sent = Array.make k false;
     stab_done = Array.make_matrix k (Topology.num_groups topo) false;
   }
@@ -227,11 +255,9 @@ let copy st =
     pend_hs = Array.copy st.pend_hs;
     pend_k = Array.copy st.pend_k;
     cons_owned = false;
-    phase = Array.map Array.copy st.phase;
-    relevant = Array.copy st.relevant;
-    visible_at = Array.map Array.copy st.visible_at;
-    del_seen = Array.copy st.del_seen;
-    del_pruned = Array.copy st.del_pruned;
+    phase = Array.copy st.phase;
+    stages = Array.copy st.stages;
+    visible_at = Array.copy st.visible_at;
     sent = Array.copy st.sent;
     stab_done = Array.map Array.copy st.stab_done;
   }
@@ -240,26 +266,28 @@ let emit st ev =
   st.events <- ev st.seq :: st.events;
   st.seq <- st.seq + 1
 
+(* A phase advances m one stage at p ([s_sent] is Start); delivery
+   takes it out of p's stages. *)
 let set_phase st p m ph time =
-  st.phase.(p).(m) <- ph;
+  st.phase.(cell st p m) <- ph;
+  let s = s_sent + Trace.phase_rank ph in
+  leave st p m (s - 1);
+  if s < stage_count then enter st p m s;
   match ph with
-  | Trace.Delivered ->
-      st.del_seen.(p) <- st.del_seen.(p) + 1;
-      emit st (fun seq -> Trace.Deliver { m; p; time; seq })
+  | Trace.Delivered -> emit st (fun seq -> Trace.Deliver { m; p; time; seq })
   | ph -> emit st (fun seq -> Trace.Phase_change { m; p; phase = ph; time; seq })
 
-let rank st p m = Trace.phase_rank st.phase.(p).(m)
-
 (* Whether every Msg entry strictly before [m] in the (g, h) log has
-   rank at least [r] at [p] (trivially so when [m] is not in the log).
-   One walk of the predecessors, short-circuiting at an entry below
-   [r]. *)
+   rank at least [r] at [p]. One walk of the predecessors,
+   short-circuiting at an entry below [r]. Every caller has [Msg m] in
+   the log — pending requires [sent], and stabilize and deliver follow
+   p's own pending, which appended m to each of p's pair logs — and
+   [Log.forall_before] raises [Invalid_argument] if one ever has not. *)
 let prefix_at_rank st p g h m r =
-  let l = log st g h in
-  (not (Log.mem l (Msg m)))
-  || Log.forall_before l (Msg m) (function
-       | Msg m' -> rank st p m' >= r
-       | _ -> true)
+  let phase = st.phase and row = cell st p 0 in
+  Log.forall_before (log st g h) (Msg m) (function
+    | Msg m' -> Trace.phase_rank phase.(row + m') >= r
+    | _ -> true)
 
 (* γ(g) as seen at (p, t), per variant. *)
 let gamma_groups st p t g =
@@ -283,7 +311,7 @@ let draw_visibility st p t m =
   if not (Channel_fault.is_none st.faults) then
     Pset.iter
       (fun q ->
-        if q = p then st.visible_at.(q).(m) <- t
+        if q = p then st.visible_at.(cell st q m) <- t
         else begin
           let rng = Channel_fault.keyed ~seed:st.fault_seed [ m; q ] in
           let fate = Channel_fault.fate st.faults rng in
@@ -293,18 +321,18 @@ let draw_visibility st p t m =
             | [] -> max_int
             | d :: ds -> t + List.fold_left min d ds
           in
-          st.visible_at.(q).(m) <- v;
+          st.visible_at.(cell st q m) <- v;
           if v < max_int && v > st.vis_horizon then st.vis_horizon <- v
         end)
       (Topology.group st.topo st.msgs.(m).Amsg.dst)
 
-(* Whether p has received the announcement of m: trivially true before
-   m is listed (every guard then sees m as absent anyway) and for ever
-   after the drawn arrival tick. *)
-let visible st p t m =
-  Channel_fault.is_none st.faults
-  || (not st.listed.(m))
-  || t >= st.visible_at.(p).(m)
+(* p's offset into [visible_at], or -1 without faults, where every
+   announcement arrives at once. *)
+let arrival_row st p = if Channel_fault.is_none st.faults then -1 else cell st p 0
+
+(* Whether the announcement of listed m has reached p at t, given p's
+   [arrival_row]: for ever from the drawn arrival tick on. *)
+let arrived st row t m = row < 0 || t >= st.visible_at.(row + m)
 
 (* multicast(m), lines 5–7, sequenced through L_g (Prop. 1): the source
    first publishes m in the shared list. *)
@@ -314,6 +342,10 @@ let try_list st p t m =
     let l = st.lists.(msg.Amsg.dst) in
     l := m :: !l;
     st.listed.(m) <- true;
+    leave st p m s_unlisted;
+    Pset.iter
+      (fun q -> enter st q m s_listed)
+      (Topology.group st.topo msg.Amsg.dst);
     draw_visibility st p t m;
     emit st (fun seq -> Trace.Invoke { m; p; time = t; seq });
     true
@@ -339,11 +371,16 @@ let try_send st p t m =
          in
          after_m !(st.lists.(g))
        in
-       List.for_all (fun m' -> st.phase.(p).(m') = Trace.Delivered) older
+       List.for_all (fun m' -> st.phase.(cell st p m') = Trace.Delivered) older
      end
   && begin
        ignore (append st g g (Msg m));
        st.sent.(m) <- true;
+       Pset.iter
+         (fun q ->
+           leave st q m s_listed;
+           enter st q m s_sent)
+         (Topology.group st.topo g);
        emit st (fun seq -> Trace.Send { m; p; time = t; seq });
        true
      end
@@ -351,7 +388,7 @@ let try_send st p t m =
 (* pending(m), lines 8–15. *)
 let try_pending st p t m =
   let g = st.msgs.(m).Amsg.dst in
-  st.phase.(p).(m) = Trace.Start
+  st.phase.(cell st p m) = Trace.Start
   && st.sent.(m)
   && prefix_at_rank st p g g m (Trace.phase_rank Trace.Commit)
   && begin
@@ -373,7 +410,7 @@ let try_pending st p t m =
    scanning LOG_g. *)
 let try_commit st p t m =
   let g = st.msgs.(m).Amsg.dst in
-  st.phase.(p).(m) = Trace.Pending
+  st.phase.(cell st p m) = Trace.Pending
   && List.for_all (fun h -> List.mem h st.pend_hs.(m)) (gamma_groups st p t g)
   && begin
        let fam_key = List.assoc g st.h_key.(p) in
@@ -394,7 +431,7 @@ let try_commit st p t m =
 let try_stabilize st p t m h =
   let g = st.msgs.(m).Amsg.dst in
   ignore t;
-  st.phase.(p).(m) = Trace.Commit
+  st.phase.(cell st p m) = Trace.Commit
   && (not st.stab_done.(m).(h))
   && prefix_at_rank st p g h m (Trace.phase_rank Trace.Stable)
   && begin
@@ -407,7 +444,7 @@ let try_stabilize st p t m h =
 let try_stable st p t m =
   let g = st.msgs.(m).Amsg.dst in
   let has_stab h = st.stab_done.(m).(h) in
-  st.phase.(p).(m) = Trace.Commit
+  st.phase.(cell st p m) = Trace.Commit
   && (match st.variant with
      | Vanilla -> List.for_all has_stab (gamma_groups st p t g)
      | Pairwise -> true
@@ -427,7 +464,7 @@ let try_stable st p t m =
    logs. *)
 let try_deliver st p t m =
   let g = st.msgs.(m).Amsg.dst in
-  st.phase.(p).(m) = Trace.Stable
+  st.phase.(cell st p m) = Trace.Stable
   && List.for_all
        (fun h -> prefix_at_rank st p g h m (Trace.phase_rank Trace.Delivered))
        st.groups_of.(p)
@@ -436,54 +473,56 @@ let try_deliver st p t m =
        true
      end
 
-let prune_delivered st p =
-  if st.del_seen.(p) <> st.del_pruned.(p) then begin
-    st.relevant.(p) <-
-      List.filter
-        (fun m -> st.phase.(p).(m) <> Trace.Delivered)
-        st.relevant.(p);
-    st.del_pruned.(p) <- st.del_seen.(p)
-  end
+(* The stabilize level: some intersection group h <> g of p. *)
+let try_stabilize_some st p t m =
+  let g = st.msgs.(m).Amsg.dst in
+  List.exists
+    (fun h ->
+      h <> g
+      && Pset.mem p (Topology.inter st.topo g h)
+      && try_stabilize st p t m h)
+    st.groups_of.(p)
 
-(* Exactly the candidates [step] scans: a [false] hint means no cascade
-   level of [step] has a message to try. *)
+(* The first visible message of a stage on which [f] fires, in
+   ascending order. *)
+let rec fires st p t row f = function
+  | [] -> false
+  | m :: rest -> (arrived st row t m && f st p t m) || fires st p t row f rest
+
+let rec any_arrived st row t = function
+  | [] -> false
+  | m :: rest -> arrived st row t m || any_arrived st row t rest
+
+(* Whether a stage of p from [s] on holds a message p may act on:
+   any unlisted one, or a listed one whose announcement has arrived. *)
+let rec holds_visible st base row t s =
+  s < stage_count
+  && ((match st.stages.(base + s) with
+      | [] -> false
+      | l -> s = s_unlisted || any_arrived st row t l)
+     || holds_visible st base row t (s + 1))
+
 let enabled st ~pid:p ~time:t =
-  prune_delivered st p;
-  List.exists (visible st p t) st.relevant.(p)
+  holds_visible st (stage_count * p) (arrival_row st p) t s_unlisted
 
+(* The cascade of Algorithm 1's actions, latest stage first. Each level
+   walks the one stage its guard's first conjunct selects. The
+   visibility gate is part of the semantics: a member acts on m only
+   once its copy of the announcement has arrived. Fault-free runs never
+   test it ([arrival_row] is -1), keeping them bit-identical to the
+   pre-fault stepper. An unlisted message has no announcement yet and
+   is always visible (every guard sees it as absent anyway), so the
+   list level passes -1 too. *)
 let step st ~pid:p ~time:t =
-  prune_delivered st p;
-  (* The visibility gate is part of the semantics: a member acts on m
-     only once its copy of the announcement has arrived. Fault-free
-     runs never test it, keeping them bit-identical to the pre-fault
-     stepper. Under faults each cascade level tests the body of
-     [visible] inline, with the fault check and row lookup hoisted out
-     of the walk; it must agree with [visible], which [enabled] reads. *)
-  let candidates = st.relevant.(p) in
-  let try_each =
-    if Channel_fault.is_none st.faults then fun f -> List.exists f candidates
-    else
-      let listed = st.listed and arrival = st.visible_at.(p) in
-      fun f ->
-        List.exists
-          (fun m -> ((not listed.(m)) || t >= arrival.(m)) && f m)
-          candidates
-  in
-  try_each (try_deliver st p t)
-  || try_each (try_stable st p t)
-  || try_each (fun m ->
-         let g = st.msgs.(m).Amsg.dst in
-         st.phase.(p).(m) = Trace.Commit
-         && List.exists
-              (fun h ->
-                h <> g
-                && Pset.mem p (Topology.inter st.topo g h)
-                && try_stabilize st p t m h)
-              st.groups_of.(p))
-  || try_each (try_commit st p t)
-  || try_each (try_pending st p t)
-  || try_each (try_send st p t)
-  || try_each (try_list st p t)
+  let base = stage_count * p and row = arrival_row st p in
+  let stages = st.stages in
+  fires st p t row try_deliver stages.(base + s_stable)
+  || fires st p t row try_stable stages.(base + s_commit)
+  || fires st p t row try_stabilize_some stages.(base + s_commit)
+  || fires st p t row try_commit stages.(base + s_pending)
+  || fires st p t row try_pending stages.(base + s_sent)
+  || fires st p t row try_send stages.(base + s_listed)
+  || fires st p t (-1) try_list stages.(base + s_unlisted)
 
 let trace st = Trace.make ~n:(Topology.n st.topo) (List.rev st.events)
 let events_newest_first st = st.events
@@ -494,7 +533,7 @@ let events_since st ~tail =
     else match l with [] -> None | ev :: rest -> go (ev :: acc) rest
   in
   go [] st.events
-let phase st ~pid ~m = st.phase.(pid).(m)
+let phase st ~pid ~m = st.phase.(cell st pid m)
 
 let log_keys st =
   let k = Topology.num_groups st.topo in
@@ -535,7 +574,7 @@ let release st ~m ~time = if st.req_at.(m) > time then st.req_at.(m) <- time
 
 let consensus_rounds st = st.rounds
 
-let delivered st ~pid ~m = st.phase.(pid).(m) = Trace.Delivered
+let delivered st ~pid ~m = st.phase.(cell st pid m) = Trace.Delivered
 let channel_faults st = st.faults
 let link_stats st = st.links
 let visibility_horizon st = st.vis_horizon
@@ -543,7 +582,7 @@ let visibility_horizon st = st.vis_horizon
 let visibility st ~pid ~m ~time =
   if Channel_fault.is_none st.faults || not st.listed.(m) then `Visible
   else
-    let v = st.visible_at.(pid).(m) in
+    let v = st.visible_at.(cell st pid m) in
     if v = max_int then `Lost
     else if time >= v then `Visible
     else `Pending (v - time)

@@ -73,11 +73,20 @@ val copy : t -> t
     argument (it gives up ownership there too), and reads fill a
     shared log's read caches, so two domains must not use states that
     share a log: a state whose logs are all untouched ({!log_keys}
-    empty) shares none with its copies. *)
+    empty) shares none with its copies.
+
+    The rest of the state is copied as flat arrays: one of [6·n]
+    per-process stage lists (the lists themselves are immutable and
+    shared), the [n·k] phase table, the [n·k] announcement arrival
+    table (only under channel faults; it is empty otherwise) and a few
+    per-message arrays. *)
 
 val step : t -> pid:int -> time:int -> bool
 (** Execute at most one enabled action of process [pid]; returns
-    whether one was executed. Feed this to [Engine.run]: how many
+    whether one was executed: the first whose guard holds, trying
+    deliver, stable, stabilize, commit, pending, send and list in that
+    order, each on [pid]'s messages at that stage in ascending id
+    order. Feed this to [Engine.run]: how many
     actions a process takes per tick is the engine's choice
     ([~steps_per_tick]), and [Engine.run ~steps_per_tick:max_int]
     drains the process to a fixpoint at its slot — the batched mode of
@@ -85,12 +94,17 @@ val step : t -> pid:int -> time:int -> bool
 
 val enabled : t -> pid:int -> time:int -> bool
 (** Conservative enablement hint for [Engine.run] and the explorer:
-    whether [pid] has an undelivered message whose announcement has
-    reached it at [time]. Those are exactly the candidates {!step}
-    scans, so [false] implies that [step] returns [false]: sound to
-    use as the engine's [?enabled] filter, since skipping such a
-    process cannot change the run. [true] may still be followed by a
-    [step] that finds every guard false. *)
+    whether some stage of [pid] holds a message whose announcement has
+    reached it at [time]. A message enters [pid]'s stages when [pid]
+    could first act on it — at creation if [pid] is its source, else
+    when it is listed — and leaves them when [pid] delivers it; an
+    unlisted message counts as reached. Those are exactly the messages
+    {!step} tries, so [false] implies that [step] returns [false]:
+    sound to use as the engine's [?enabled] filter, since skipping
+    such a process cannot change the run. [true] may still be followed
+    by a [step] that finds every guard false (a source before the
+    invocation tick, a guard waiting on a log entry or on γ). It
+    allocates nothing. *)
 
 val trace : t -> Trace.t
 (** Events recorded so far, in execution order. *)

@@ -162,6 +162,10 @@ let fold_before_exn name log d f init =
 
 let fold_before log d f init = fold_before_exn "Log.fold_before" log d f init
 
+let rec all_hold check = function
+  | [] -> true
+  | (d, _) :: rest -> check d && all_hold check rest
+
 (* The descending index needs no ascending rebuild after an append or
    a bump, and a failing guard stops at the highest blocker below [d]
    rather than the lowest: the entries above [d] are skipped, then
@@ -177,7 +181,7 @@ let forall_before log d check =
             if
               e'.position < position
               || (e'.position = position && log.compare d' d < 0)
-            then List.for_all (fun (d', _) -> check d') l
+            then all_hold check l
             else above rest
       in
       above log.rev_index

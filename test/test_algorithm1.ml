@@ -99,6 +99,28 @@ let genuineness_steps () =
         o.Runner.stats.Engine.steps.(p))
     [ 2; 3; 4; 5 ]
 
+let hint_waits_for_listing () =
+  (* [enabled] holds a message at p only once p has a stage for it: a
+     member other than the source has nothing to do before the source
+     lists the message. *)
+  let topo = Topology.figure1 in
+  let fp = Failure_pattern.never ~n:5 in
+  let st =
+    Algorithm1.create ~topo ~mu:(Mu.make ~seed:1 topo fp)
+      ~workload:(Workload.make [ (0, 0, 3) ] topo)
+      ()
+  in
+  for time = 0 to 2 do
+    Alcotest.(check bool)
+      (Printf.sprintf "p1 not enabled at tick %d" time)
+      false
+      (Algorithm1.enabled st ~pid:1 ~time)
+  done;
+  Alcotest.(check bool) "p0 lists m0 at tick 3" true
+    (Algorithm1.step st ~pid:0 ~time:3);
+  Alcotest.(check bool) "p1 enabled once m0 is listed" true
+    (Algorithm1.enabled st ~pid:1 ~time:3)
+
 let group_sequential_serialization () =
   (* Many messages from different sources to one group: the Prop. 1
      wrapper serialises them; all get delivered. *)
@@ -502,4 +524,5 @@ let suite =
       t "trace well-formed: corpus and batched loadgen" `Quick trace_well_formed;
       t "early quiescence never changes a verdict" `Quick
         early_quiescence_keeps_verdicts;
+      t "hint: a member waits for the listing" `Quick hint_waits_for_listing;
     ]

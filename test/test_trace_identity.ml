@@ -8,8 +8,12 @@
    does pass the hint to the engine). Every input runs scalar and
    batched: the committed corpus, a generated sweep at jobs=1 and
    jobs=4, ring-6 crash seeds with the loadgen sweep, and a
-   fault-injected sweep over all three variants — besides delivered
-   pruning, announcement visibility is the only state the hint reads. *)
+   fault-injected sweep over all three variants — announcement
+   visibility is the only state the hint reads besides the stage lists.
+
+   The last case pins the stepper itself: one MD5 over the events and
+   engine stats of a fixed sweep, which must equal the digest the
+   stepper produced before its stage lists (commit 20b6b01). *)
 
 let t = Alcotest.test_case
 
@@ -123,29 +127,35 @@ let problems i =
         (check_mode ~batching i))
     [ false; true ]
 
-let corpus_hint () =
+let corpus_inputs () =
   let entries = Corpus.load ~dir:"../corpus" in
   if List.length entries < 4 then
     Alcotest.failf "corpus too small (%d scenarios)" (List.length entries);
-  let bad =
-    List.concat_map
-      (fun (name, decoded) ->
-        match decoded with
-        | Error e -> Alcotest.failf "%s does not decode: %s" name e
-        | Ok s -> problems (of_scenario name s))
-      entries
-  in
-  Alcotest.(check (list string)) "unsound or divergent runs" [] bad
+  List.map
+    (fun (name, decoded) ->
+      match decoded with
+      | Error e -> Alcotest.failf "%s does not decode: %s" name e
+      | Ok s -> of_scenario name s)
+    entries
+
+let corpus_hint () =
+  Alcotest.(check (list string))
+    "unsound or divergent runs" []
+    (List.concat_map problems (corpus_inputs ()))
 
 (* 200 generated scenarios per sweep, checked through the domain pool —
    the same indices the fuzz driver would farm out, so the hint is also
    exercised from worker domains. *)
+let sweep_trials = 200
+
+let sweep_input ~seed cfg k =
+  of_scenario (Printf.sprintf "trial %d" k)
+    (Fuzz_driver.scenario_of_trial ~seed cfg k)
+
 let sweep_hint ~seed cfg jobs () =
-  let trials = 200 in
   let results =
-    Domain_pool.map ~jobs trials (fun k ->
-        let s = Fuzz_driver.scenario_of_trial ~seed cfg k in
-        problems (of_scenario (Printf.sprintf "trial %d" k) s))
+    Domain_pool.map ~jobs sweep_trials (fun k ->
+        problems (sweep_input ~seed cfg k))
   in
   Alcotest.(check (list string))
     "unsound or divergent runs" []
@@ -155,7 +165,7 @@ let sweep_hint ~seed cfg jobs () =
    of the throughput identity suite. Batched, the engine repeats [step]
    within a slot, so a hint that missed a candidate some earlier action
    of the same slot had enabled shows up here. *)
-let loadgen_hint () =
+let loadgen_inputs () =
   let ring6 =
     List.init 8 (fun k ->
         let seed = k + 1 in
@@ -167,13 +177,14 @@ let loadgen_hint () =
         let fp = Failure_pattern.of_crashes ~n:(Topology.n topo) [ (2, 5) ] in
         (Printf.sprintf "ring-6-crash-s%d" seed, topo, fp, workload, seed))
   in
-  let bad =
-    List.concat_map
-      (fun (name, topo, fp, workload, seed) ->
-        problems (input name topo fp workload seed))
-      (ring6 @ Test_throughput_identity.generated_scenarios ())
-  in
-  Alcotest.(check (list string)) "unsound or divergent runs" [] bad
+  List.map
+    (fun (name, topo, fp, workload, seed) -> input name topo fp workload seed)
+    (ring6 @ Test_throughput_identity.generated_scenarios ())
+
+let loadgen_hint () =
+  Alcotest.(check (list string))
+    "unsound or divergent runs" []
+    (List.concat_map problems (loadgen_inputs ()))
 
 let faulty_cfg =
   {
@@ -181,6 +192,63 @@ let faulty_cfg =
     Scenario_gen.faults_gen = `Random;
     variants = [ Algorithm1.Vanilla; Algorithm1.Strict; Algorithm1.Pairwise ];
   }
+
+(* The ring-contended shape of the end-to-end benchmark: a ring of 24
+   groups at rate 1600 for 24 ticks, about 384 messages a run. *)
+let ring24_inputs () =
+  List.init 20 (fun k ->
+      let seed = k + 1 in
+      let topo = Topology.ring ~groups:24 in
+      let workload =
+        Loadgen.open_loop ~rng:(Rng.make (100 + seed)) ~rate_pct:1600
+          ~skew_pct:0 ~duration:24 topo
+      in
+      input
+        (Printf.sprintf "ring-24-s%d" seed)
+        topo
+        (Failure_pattern.never ~n:(Topology.n topo))
+        workload seed)
+
+(* What [Runner.run] produced, scalar then batched, as one digest per
+   input: every event as [Trace.pp_event] renders it, the engine stats,
+   the consensus counts and the link stats. *)
+let run_digest i =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun batching ->
+      let o =
+        Runner.run ~variant:i.variant ~seed:i.seed ~batching ~faults:i.faults
+          ~topo:i.topo ~fp:i.fp ~workload:i.workload ()
+      in
+      Printf.bprintf b "%s %b\n" i.name batching;
+      List.iter
+        (fun e -> Printf.bprintf b "%s\n" (event_to_string e))
+        o.Runner.trace.Trace.events;
+      let s = o.Runner.stats and l = o.Runner.links in
+      Array.iter (Printf.bprintf b "%d ") s.Engine.steps;
+      Printf.bprintf b "\n%d %d %b %d %d %d %d %d %d %d\n" s.Engine.executed
+        s.Engine.ticks_used s.Engine.quiescent o.Runner.consensus_instances
+        o.Runner.consensus_rounds l.Channel_fault.sent l.Channel_fault.dropped
+        l.Channel_fault.duplicated l.Channel_fault.retransmissions
+        l.Channel_fault.lost)
+    [ false; true ];
+  Digest.string (Buffer.contents b)
+
+(* The digest of the sweep at commit 20b6b01, before the stage lists. A
+   change to what [step] fires, in what order, or to the engine's
+   schedule moves it. *)
+let parent_digest = "17fdd3ddebc9a9c5a1bb126d1c3412e8"
+
+let stepper_digest () =
+  let inputs =
+    corpus_inputs ()
+    @ List.init sweep_trials (sweep_input ~seed:11 faulty_cfg)
+    @ loadgen_inputs () @ ring24_inputs ()
+  in
+  let digests = String.concat "" (List.map run_digest inputs) in
+  Alcotest.(check string)
+    "digest of events and stats" parent_digest
+    (Digest.to_hex (Digest.string digests))
 
 let suite =
   [
@@ -192,4 +260,5 @@ let suite =
     t "ring-6 + loadgen: hint sound" `Quick loadgen_hint;
     t "fault sweep: hint sound" `Slow
       (sweep_hint ~seed:11 faulty_cfg 1);
+    t "stepper digest = parent's" `Slow stepper_digest;
   ]
