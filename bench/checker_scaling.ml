@@ -13,13 +13,11 @@
    a crash and lossy stubborn links; every other case is failure- and
    fault-free. The indexed side is timed on a fresh trace every
    run so the lazily-built Trace index is rebuilt inside the measured
-   region — the speedup column is end-to-end, not amortized. Each case
-   also records whether the two checkers agreed verdict-for-verdict;
-   the schema validator rejects the file if any case disagrees.
-
-   Wall-clock by design: this *is* the clock benchmark (exec scope
-   already waives the rule; the attribute documents the intent). *)
-[@@@lint.allow "wall-clock"]
+   region — the speedup column is end-to-end, not amortized. Each side
+   is timed by [Trajectory.time] (the median of runs repeated until the
+   quota is spent). Each case also records whether the two checkers
+   agreed verdict-for-verdict; the schema validator rejects the file if
+   any case disagrees. *)
 
 type case = {
   name : string;
@@ -114,19 +112,6 @@ let cases ~smoke =
   @ List.map (fun (shape, g) -> mk_case ~claims:true shape g 4) claims
   @ [ faults_case ]
 
-type result = {
-  case : case;
-  events : int;
-  ref_runs : int;
-  ref_ns_per_check : float;
-  runs : int;
-  ns_per_check : float;
-  verdicts_equal : bool;
-}
-
-let speedup r =
-  if r.ns_per_check > 0. then r.ref_ns_per_check /. r.ns_per_check else 0.
-
 let render verdicts =
   String.concat "; "
     (List.map
@@ -151,83 +136,30 @@ let measure ~quota_ms c =
         Trace.make ~n:o.Runner.trace.Trace.n o.Runner.trace.Trace.events;
     }
   in
-  let repeat f =
-    let quota = float_of_int quota_ms /. 1000. in
-    let time_one () =
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      Unix.gettimeofday () -. t0
-    in
-    let total = ref (time_one ()) in
-    let runs = ref 1 in
-    while !total < quota && !runs < 10_000 do
-      total := !total +. time_one ();
-      incr runs
-    done;
-    (!runs, !total /. float_of_int !runs *. 1e9)
-  in
-  let ref_runs, ref_ns_per_check = repeat (fun () -> reference o) in
-  let runs, ns_per_check = repeat (fun () -> indexed (fresh ())) in
-  let verdicts_equal = render (indexed (fresh ())) = render (reference o) in
+  let r = Trajectory.time ~quota_ms (fun () -> reference o) in
+  let t = Trajectory.time ~quota_ms (fun () -> indexed (fresh ())) in
+  let ref_ns = Trajectory.ns r and idx_ns = Trajectory.ns t in
+  Trajectory.
+    [
+      ("name", Str c.name);
+      ("variant", Str (variant_name c.variant));
+      ("n", Int (Topology.n c.topo));
+      ("groups", Int (Topology.num_groups c.topo));
+      ("msgs", Int (List.length c.workload));
+      ("events", Int (List.length o.Runner.trace.Trace.events));
+      ("ref_ns_per_check", Float (1, ref_ns));
+      ("ns_per_check", Float (1, idx_ns));
+      ("speedup", Float (2, if idx_ns > 0. then ref_ns /. idx_ns else 0.));
+      ("ref_runs", Int r.runs);
+      ("runs", Int t.runs);
+      ("verdicts_equal", Bool (render t.result = render r.result));
+    ]
+
+let suite =
   {
-    case = c;
-    events = List.length o.Runner.trace.Trace.events;
-    ref_runs;
-    ref_ns_per_check;
-    runs;
-    ns_per_check;
-    verdicts_equal;
+    Trajectory.name = "checker";
+    header = (fun cfg -> [ ("quota_ms", Trajectory.Int cfg.quota_ms) ]);
+    cases =
+      (fun cfg ->
+        List.map (measure ~quota_ms:cfg.quota_ms) (cases ~smoke:cfg.smoke));
   }
-
-let run_all ~quota_ms ~smoke =
-  List.map (measure ~quota_ms) (cases ~smoke)
-
-(* ------------------------------------------------------------------ *)
-(* Rendering                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let pp_ns ns =
-  if ns >= 1e9 then Printf.sprintf "%8.2f s " (ns /. 1e9)
-  else if ns >= 1e6 then Printf.sprintf "%8.2f ms" (ns /. 1e6)
-  else Printf.sprintf "%8.2f us" (ns /. 1e3)
-
-let print_text results =
-  print_endline "== Checker scaling suite (reference vs indexed) ==";
-  List.iter
-    (fun r ->
-      Printf.printf "  %-22s ref %s/check  indexed %s/check  %7.1fx  %s\n"
-        r.case.name
-        (pp_ns r.ref_ns_per_check)
-        (pp_ns r.ns_per_check) (speedup r)
-        (if r.verdicts_equal then "" else "VERDICTS DIFFER"))
-    results
-
-(* Same whole-file shape as scaling.ml's trajectory (schema marker +
-   entries array) so validate.exe checks both; the per-case fields are
-   dispatched on the "suite" string. *)
-let json_trajectory ~label ~quota_ms results =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"schema\": \"amcast-bench-trajectory/v1\",\n";
-  Buffer.add_string b "  \"suite\": \"checker-scaling\",\n";
-  Buffer.add_string b "  \"entries\": [ {\n";
-  Printf.bprintf b "    \"label\": \"%s\",\n" (Scaling.json_escape label);
-  Printf.bprintf b "    \"quota_ms\": %d,\n" quota_ms;
-  Buffer.add_string b "    \"cases\": [\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Printf.bprintf b
-        "    { \"name\": \"%s\", \"variant\": \"%s\", \"n\": %d, \"groups\": %d,\n\
-        \      \"msgs\": %d, \"events\": %d, \"ref_ns_per_check\": %.1f,\n\
-        \      \"ns_per_check\": %.1f, \"speedup\": %.2f, \"ref_runs\": %d,\n\
-        \      \"runs\": %d, \"verdicts_equal\": %b }"
-        (Scaling.json_escape r.case.name)
-        (variant_name r.case.variant)
-        (Topology.n r.case.topo)
-        (Topology.num_groups r.case.topo)
-        (List.length r.case.workload)
-        r.events r.ref_ns_per_check r.ns_per_check (speedup r) r.ref_runs
-        r.runs r.verdicts_equal)
-    results;
-  Buffer.add_string b "\n    ]\n  } ]\n}\n";
-  Buffer.contents b

@@ -11,17 +11,6 @@
    a deterministic function of the scenario, so trajectories are
    exactly comparable across PRs. *)
 
-type result = {
-  name : string;
-  drop : int;  (* basis points of Channel_fault.den *)
-  sent : int;  (* logical announcement transmissions *)
-  delivered : int;
-  retransmissions : int;
-  lost : int;
-  overhead : float;  (* retransmissions per transmission *)
-  verdicts_equal : bool;  (* same failing-property set as drop 0 *)
-}
-
 let topo = Topology.figure1
 
 let workload () = Workload.random (Rng.make 11) ~msgs:4 ~max_at:6 topo
@@ -48,50 +37,30 @@ let run_all ~smoke =
       let o = outcome spec in
       let ls = o.Runner.links in
       let sent = ls.Channel_fault.sent in
-      {
-        name = Printf.sprintf "figure1-drop%d" drop;
-        drop;
-        sent;
-        delivered = List.length (Trace.deliveries o.Runner.trace);
-        retransmissions = ls.Channel_fault.retransmissions;
-        lost = ls.Channel_fault.lost;
-        overhead =
-          (if sent > 0 then
-             float_of_int ls.Channel_fault.retransmissions /. float_of_int sent
-           else 0.);
-        verdicts_equal = failing o = baseline;
-      })
+      Trajectory.
+        [
+          ("name", Str (Printf.sprintf "figure1-drop%d" drop));
+          ("drop", Int drop);
+          ("sent", Int sent);
+          ("delivered", Int (List.length (Trace.deliveries o.Runner.trace)));
+          ("retransmissions", Int ls.Channel_fault.retransmissions);
+          ("lost", Int ls.Channel_fault.lost);
+          (* retransmissions per transmission *)
+          ( "overhead",
+            Float
+              ( 4,
+                if sent > 0 then
+                  float_of_int ls.Channel_fault.retransmissions
+                  /. float_of_int sent
+                else 0. ) );
+          (* the same failing-property set as the fault-free run *)
+          ("verdicts_equal", Bool (failing o = baseline));
+        ])
     (drops ~smoke)
 
-let print_text results =
-  print_endline "== Claims-under-loss suite (stubborn links) ==";
-  List.iter
-    (fun r ->
-      Printf.printf
-        "  %-20s sent %3d  delivered %3d  retransmissions %3d (%.2fx)  lost \
-         %d%s\n"
-        r.name r.sent r.delivered r.retransmissions r.overhead r.lost
-        (if r.verdicts_equal then "" else "  VERDICTS DIFFER"))
-    results
-
-let json_trajectory ~label results =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n  \"schema\": \"amcast-bench-trajectory/v1\",\n";
-  Buffer.add_string b "  \"suite\": \"faults-scaling\",\n";
-  Buffer.add_string b "  \"entries\": [ {\n";
-  Printf.bprintf b "    \"label\": \"%s\",\n" (Scaling.json_escape label);
-  Buffer.add_string b "    \"cases\": [\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Printf.bprintf b
-        "    { \"name\": \"%s\", \"drop\": %d, \"sent\": %d, \"delivered\": \
-         %d,\n\
-        \      \"retransmissions\": %d, \"lost\": %d, \"overhead\": %.4f,\n\
-        \      \"verdicts_equal\": %b }"
-        (Scaling.json_escape r.name)
-        r.drop r.sent r.delivered r.retransmissions r.lost r.overhead
-        r.verdicts_equal)
-    results;
-  Buffer.add_string b "\n    ]\n  } ]\n}\n";
-  Buffer.contents b
+let suite =
+  {
+    Trajectory.name = "faults";
+    header = (fun _ -> []);
+    cases = (fun cfg -> run_all ~smoke:cfg.smoke);
+  }

@@ -1,9 +1,11 @@
 (* The benchmark & experiment harness.
 
    Running this executable regenerates every table and figure of the
-   paper (the experiment sections, shared with `amcast_cli experiment`)
-   and then reports Bechamel micro-benchmarks — one per experiment
-   family — for the cost of the underlying machinery.
+   paper (the experiment sections, shared with `amcast_cli experiment`),
+   runs the five trajectory suites behind the committed BENCH_*.json
+   files (see trajectory.ml), and then reports Bechamel
+   micro-benchmarks — one per experiment family — for the cost of the
+   underlying machinery. `--scaling-only` runs the suites alone.
 
    Benchmarks measure wall-clock by design (the exec scope already
    waives the rule; the attribute documents the intent). *)
@@ -11,27 +13,6 @@
 
 open Bechamel
 open Toolkit
-
-let arg_string name =
-  (* `--name V` anywhere on the command line *)
-  let rec scan i =
-    if i + 1 >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = name then Some Sys.argv.(i + 1)
-    else scan (i + 1)
-  in
-  scan 1
-
-let arg_value name = Option.bind (arg_string name) int_of_string_opt
-let has_flag name = Array.exists (String.equal name) Sys.argv
-
-let jobs =
-  match arg_value "--jobs" with
-  | Some j when j >= 1 -> j
-  | _ -> Domain_pool.default_jobs ()
-
-let experiment_sections () =
-  print_string (Experiments.all ~jobs ());
-  print_newline ()
 
 (* ------------------------------------------------------------------ *)
 (* Fuzz-sweep wall clock: the domain-pool speedup                      *)
@@ -200,148 +181,61 @@ let run_benchmarks () =
     (List.sort (fun (a, _) (b, _) -> String.compare a b) rows)
 
 (* ------------------------------------------------------------------ *)
-(* The Algorithm 1 scaling suite (see scaling.ml)                      *)
+(* The command line                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let rec run_scaling () =
-  let quota_ms =
-    match arg_value "--quota-ms" with Some q when q >= 0 -> q | _ -> 500
-  in
-  let smoke = has_flag "--smoke" in
-  let label =
-    match arg_string "--label" with Some l -> l | None -> "HEAD"
-  in
-  let results = Scaling.run_all ~quota_ms ~smoke in
-  (match arg_string "--format" with
-  | Some "json" ->
-      let json = Scaling.json_trajectory ~label ~quota_ms results in
-      (match arg_string "--out" with
-      | Some path ->
-          Out_channel.with_open_bin path (fun oc ->
-              Out_channel.output_string oc json);
-          Printf.printf "scaling suite written to %s (%d cases)\n" path
-            (List.length results)
-      | None -> print_string json)
-  | _ ->
-      Scaling.print_text results;
-      Option.iter
-        (fun path ->
-          Out_channel.with_open_bin path (fun oc ->
-              Out_channel.output_string oc
-                (Scaling.json_trajectory ~label ~quota_ms results)))
-        (arg_string "--out"));
-  run_checker_scaling ~quota_ms ~smoke ~label ();
-  run_explore_scaling ~quota_ms ~smoke ~label ();
-  run_faults_scaling ~smoke ~label ();
-  run_throughput_scaling ~quota_ms ~smoke ~label ()
+(* The trajectory suites, run through Trajectory.run (see trajectory.ml). *)
+let suites =
+  [
+    Scaling.suite;
+    Checker_scaling.suite;
+    Explore_scaling.suite;
+    Faults_scaling.suite;
+    Throughput_scaling.suite;
+  ]
 
-(* The checker counterpart (see checker_scaling.ml): same flags, its
-   own output file via --checker-out. In JSON mode nothing is printed
-   unless --checker-out is absent, so `--format json` without --out
-   still emits exactly one document per suite on stdout. *)
-and run_checker_scaling ~quota_ms ~smoke ~label () =
-  let results = Checker_scaling.run_all ~quota_ms ~smoke in
-  match arg_string "--format" with
-  | Some "json" -> (
-      let json = Checker_scaling.json_trajectory ~label ~quota_ms results in
-      match arg_string "--checker-out" with
-      | Some path ->
-          Out_channel.with_open_bin path (fun oc ->
-              Out_channel.output_string oc json);
-          Printf.printf "checker suite written to %s (%d cases)\n" path
-            (List.length results)
-      | None -> print_string json)
-  | _ ->
-      Checker_scaling.print_text results;
-      Option.iter
-        (fun path ->
-          Out_channel.with_open_bin path (fun oc ->
-              Out_channel.output_string oc
-                (Checker_scaling.json_trajectory ~label ~quota_ms results)))
-        (arg_string "--checker-out")
-
-(* The systematic-exploration counterpart (see explore_scaling.ml):
-   each case's POR-on exploration repeats until the quota is spent,
-   the POR-off one runs once. Its own output file via --explore-out. *)
-and run_explore_scaling ~quota_ms ~smoke ~label () =
-  let results = Explore_scaling.run_all ~quota_ms ~jobs ~smoke in
-  match arg_string "--format" with
-  | Some "json" -> (
-      let json = Explore_scaling.json_trajectory ~label ~jobs results in
-      match arg_string "--explore-out" with
-      | Some path ->
-          Out_channel.with_open_bin path (fun oc ->
-              Out_channel.output_string oc json);
-          Printf.printf "explore suite written to %s (%d cases)\n" path
-            (List.length results)
-      | None -> print_string json)
-  | _ ->
-      Explore_scaling.print_text results;
-      Option.iter
-        (fun path ->
-          Out_channel.with_open_bin path (fun oc ->
-              Out_channel.output_string oc
-                (Explore_scaling.json_trajectory ~label ~jobs results)))
-        (arg_string "--explore-out")
-
-(* The claims-under-loss counterpart (see faults_scaling.ml):
-   wall-clock-free, so no quota. Its own output file via --faults-out. *)
-and run_faults_scaling ~smoke ~label () =
-  let results = Faults_scaling.run_all ~smoke in
-  match arg_string "--format" with
-  | Some "json" -> (
-      let json = Faults_scaling.json_trajectory ~label results in
-      match arg_string "--faults-out" with
-      | Some path ->
-          Out_channel.with_open_bin path (fun oc ->
-              Out_channel.output_string oc json);
-          Printf.printf "faults suite written to %s (%d cases)\n" path
-            (List.length results)
-      | None -> print_string json)
-  | _ ->
-      Faults_scaling.print_text results;
-      Option.iter
-        (fun path ->
-          Out_channel.with_open_bin path (fun oc ->
-              Out_channel.output_string oc
-                (Faults_scaling.json_trajectory ~label results)))
-        (arg_string "--faults-out")
-
-(* The heavy-traffic counterpart (see throughput_scaling.ml): msgs/sec
-   with engine modes off vs batching+sharding, on the shared
-   quota and --jobs pool. Its own output file via --throughput-out. *)
-and run_throughput_scaling ~quota_ms ~smoke ~label () =
-  let results = Throughput_scaling.run_all ~quota_ms ~jobs ~smoke in
-  match arg_string "--format" with
-  | Some "json" -> (
-      let json =
-        Throughput_scaling.json_trajectory ~label ~quota_ms ~jobs results
-      in
-      match arg_string "--throughput-out" with
-      | Some path ->
-          Out_channel.with_open_bin path (fun oc ->
-              Out_channel.output_string oc json);
-          Printf.printf "throughput suite written to %s (%d cases)\n" path
-            (List.length results)
-      | None -> print_string json)
-  | _ ->
-      Throughput_scaling.print_text results;
-      Option.iter
-        (fun path ->
-          Out_channel.with_open_bin path (fun oc ->
-              Out_channel.output_string oc
-                (Throughput_scaling.json_trajectory ~label ~quota_ms ~jobs
-                   results)))
-        (arg_string "--throughput-out")
-
+(* Seven flags; [Arg.parse] exits 2 on anything else. *)
 let () =
-  let skip_bench = has_flag "--no-bench" in
-  if has_flag "--scaling-only" then run_scaling ()
-  else begin
-    experiment_sections ();
-    run_scaling ();
-    if not skip_bench then begin
-      fuzz_sweep_wallclock ();
-      run_benchmarks ()
-    end
+  let scaling_only = ref false and smoke = ref false in
+  let quota_ms = ref 500 and jobs = ref (Domain_pool.default_jobs ()) in
+  let label = ref "HEAD" and out_dir = ref None and no_bench = ref false in
+  let at_least lo flag r v =
+    if v >= lo then r := v
+    else raise (Arg.Bad (Printf.sprintf "%s must be >= %d" flag lo))
+  in
+  let dir d =
+    if Sys.file_exists d && Sys.is_directory d then out_dir := Some d
+    else raise (Arg.Bad ("--out-dir: no directory " ^ d))
+  in
+  Arg.parse
+    (Arg.align
+       [
+         ("--scaling-only", Arg.Set scaling_only, " run the suites only");
+         ("--smoke", Arg.Set smoke, " run each suite's small case set");
+         ( "--quota-ms",
+           Arg.Int (at_least 0 "--quota-ms" quota_ms),
+           "MS time each case until MS ms are spent (default 500)" );
+         ( "--jobs",
+           Arg.Int (at_least 1 "--jobs" jobs),
+           "N domains for experiments, explorer, shards (default: cores)" );
+         ("--label", Arg.Set_string label, "L entry label (default HEAD)");
+         ( "--out-dir",
+           Arg.String dir,
+           "DIR write DIR/BENCH_<suite>.json for each suite" );
+         ("--no-bench", Arg.Set no_bench, " skip fuzz sweep and Bechamel runs");
+       ])
+    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
+    "main.exe [FLAG...]: the paper's tables, the trajectory suites and \
+     micro-benchmarks";
+  if not !scaling_only then begin
+    print_string (Experiments.all ~jobs:!jobs ());
+    print_newline ()
+  end;
+  let cfg =
+    { Trajectory.quota_ms = !quota_ms; jobs = !jobs; smoke = !smoke }
+  in
+  List.iter (Trajectory.run cfg ~label:!label ~out_dir:!out_dir) suites;
+  if not (!scaling_only || !no_bench) then begin
+    fuzz_sweep_wallclock ();
+    run_benchmarks ()
   end

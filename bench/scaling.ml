@@ -3,14 +3,10 @@
    A grid of full [Runner.run] executions — disjoint topologies (no
    cyclic family, pure group-local traffic), rings (one global cyclic
    family, the γ-heavy regime) — crossed with K messages per group.
-   Each case is timed wall-clock over repeated runs until a quota is
-   exhausted, and the result can be rendered as text or as one entry of
-   the machine-readable `BENCH_algorithm1.json` trajectory, so every PR
-   can compare its numbers against the recorded history.
-
-   Wall-clock by design: this *is* the clock benchmark (exec scope
-   already waives the rule; the attribute documents the intent). *)
-[@@@lint.allow "wall-clock"]
+   Each case is timed by [Trajectory.time] (the median of runs repeated
+   until the quota is spent) and becomes one case of the
+   `BENCH_algorithm1.json` trajectory, so every change can compare its
+   numbers against the recorded history. *)
 
 type case = { name : string; topo : Topology.t; workload : Workload.t }
 
@@ -49,113 +45,34 @@ let cases ~smoke =
   List.concat_map (fun g -> List.map (mk_case `Disjoint g) ks) disjoint
   @ List.concat_map (fun g -> List.map (mk_case `Ring g) ks) rings
 
-type result = {
-  case : case;
-  runs : int;
-  ns_per_run : float;
-  steps_per_sec : float;
-  executed : int;
-  ticks : int;
-  consensus_instances : int;
-  complete : bool;
-}
-
 let measure ~quota_ms c =
   let fp = Failure_pattern.never ~n:(Topology.n c.topo) in
-  let go () = Runner.run ~seed:1 ~topo:c.topo ~fp ~workload:c.workload () in
-  let t0 = Unix.gettimeofday () in
-  let o = go () in
-  let total = ref (Unix.gettimeofday () -. t0) in
-  let runs = ref 1 in
-  let quota = float_of_int quota_ms /. 1000. in
-  while !total < quota && !runs < 10_000 do
-    let t0 = Unix.gettimeofday () in
-    ignore (go ());
-    total := !total +. (Unix.gettimeofday () -. t0);
-    incr runs
-  done;
-  let mean = !total /. float_of_int !runs in
+  let t =
+    Trajectory.time ~quota_ms (fun () ->
+        Runner.run ~seed:1 ~topo:c.topo ~fp ~workload:c.workload ())
+  in
+  let o = t.result in
+  let executed = o.Runner.stats.Engine.executed in
+  Trajectory.
+    [
+      ("name", Str c.name);
+      ("n", Int (Topology.n c.topo));
+      ("groups", Int (Topology.num_groups c.topo));
+      ("msgs", Int (List.length c.workload));
+      ("ns_per_run", Float (1, ns t));
+      ("steps_per_sec", Float (1, per_sec executed t));
+      ("runs", Int t.runs);
+      ("executed", Int executed);
+      ("ticks", Int o.Runner.stats.Engine.ticks_used);
+      ("consensus_instances", Int o.Runner.consensus_instances);
+      ("complete", Bool (Runner.deliveries_complete o));
+    ]
+
+let suite =
   {
-    case = c;
-    runs = !runs;
-    ns_per_run = mean *. 1e9;
-    steps_per_sec =
-      (if mean > 0. then float_of_int o.Runner.stats.Engine.executed /. mean
-       else 0.);
-    executed = o.Runner.stats.Engine.executed;
-    ticks = o.Runner.stats.Engine.ticks_used;
-    consensus_instances = o.Runner.consensus_instances;
-    complete = Runner.deliveries_complete o;
+    Trajectory.name = "algorithm1";
+    header = (fun cfg -> [ ("quota_ms", Trajectory.Int cfg.quota_ms) ]);
+    cases =
+      (fun cfg ->
+        List.map (measure ~quota_ms:cfg.quota_ms) (cases ~smoke:cfg.smoke));
   }
-
-let run_all ~quota_ms ~smoke =
-  List.map (measure ~quota_ms) (cases ~smoke)
-
-(* ------------------------------------------------------------------ *)
-(* Rendering                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let pp_ns ns =
-  if ns >= 1e9 then Printf.sprintf "%8.2f s/run " (ns /. 1e9)
-  else if ns >= 1e6 then Printf.sprintf "%8.2f ms/run" (ns /. 1e6)
-  else Printf.sprintf "%8.2f us/run" (ns /. 1e3)
-
-let print_text results =
-  print_endline "== Algorithm 1 scaling suite ==";
-  List.iter
-    (fun r ->
-      Printf.printf
-        "  %-18s %s  %10.0f steps/s  %4d ticks  %4d cons  %s(%d run%s)\n"
-        r.case.name (pp_ns r.ns_per_run) r.steps_per_sec r.ticks
-        r.consensus_instances
-        (if r.complete then "" else "INCOMPLETE ")
-        r.runs
-        (if r.runs = 1 then "" else "s"))
-    results
-
-(* Minimal JSON emission: every value we write is a bool, an int-ish
-   float, or a name made of [a-zA-Z0-9._-], so escaping is trivial; the
-   float format never produces nan/inf because means are finite. *)
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' | '\\' ->
-          Buffer.add_char b '\\';
-          Buffer.add_char b ch
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_case b r =
-  Printf.bprintf b
-    "    { \"name\": \"%s\", \"n\": %d, \"groups\": %d, \"msgs\": %d,\n\
-    \      \"ns_per_run\": %.1f, \"steps_per_sec\": %.1f, \"runs\": %d,\n\
-    \      \"executed\": %d, \"ticks\": %d, \"consensus_instances\": %d,\n\
-    \      \"complete\": %b }"
-    (json_escape r.case.name) (Topology.n r.case.topo)
-    (Topology.num_groups r.case.topo)
-    (List.length r.case.workload)
-    r.ns_per_run r.steps_per_sec r.runs r.executed r.ticks
-    r.consensus_instances r.complete
-
-(* One trajectory entry; the whole-file shape (schema + entries array)
-   is shared with the committed BENCH_algorithm1.json so the same
-   validator checks both. *)
-let json_trajectory ~label ~quota_ms results =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"schema\": \"amcast-bench-trajectory/v1\",\n";
-  Buffer.add_string b "  \"suite\": \"algorithm1-scaling\",\n";
-  Buffer.add_string b "  \"entries\": [ {\n";
-  Printf.bprintf b "    \"label\": \"%s\",\n" (json_escape label);
-  Printf.bprintf b "    \"quota_ms\": %d,\n" quota_ms;
-  Buffer.add_string b "    \"cases\": [\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ",\n";
-      json_case b r)
-    results;
-  Buffer.add_string b "\n    ]\n  } ]\n}\n";
-  Buffer.contents b

@@ -5,26 +5,11 @@
    Each file must parse as JSON and match the amcast-bench-trajectory/v1
    shape: a top-level object with the schema marker, a known "suite"
    string and a non-empty "entries" array; every entry carries a
-   "label" and a non-empty "cases" array. Per-case fields depend on the
-   suite: "algorithm1-scaling" cases carry name/ns_per_run/
-   steps_per_sec/consensus_instances/complete; "checker-scaling" cases
-   carry name/ref_ns_per_check/ns_per_check/speedup/events and a
-   verdicts_equal flag that must be true (a recorded disagreement
-   between the indexed and reference checkers is a schema violation);
-   "explore-scaling" cases carry name/depth/nodes/nodes_naive/
-   reduction_factor/states_per_sec/violations and a verdicts_equal flag
-   that must be true (the POR-ablated sweep must reach the same
-   verdict); "faults-scaling" cases carry name/drop/sent/delivered/
-   retransmissions/lost/overhead and a verdicts_equal flag that must be
-   true (stubborn links must not change any specification verdict
-   relative to the fault-free baseline); "throughput-scaling" cases
-   carry name/msgs/shards/off_msgs_per_sec/on_msgs_per_sec/speedup,
-   monotone p50/p99/max latency grids per engine mode, on_rounds <=
-   off_rounds (the drain adds no proposals) and a verdicts_equal flag
-   that must be true (the heavy-traffic engine modes must not change a
-   specification verdict).
-   Exits non-zero with a message naming the file and the offending path
-   on any mismatch.
+   "label", a "cores" count (an integer >= 1) if it has one, and a
+   non-empty "cases" array whose cases each carry a "name". The fields
+   of a case are checked against its suite's row of [rules]. Exits 1
+   with a message naming the file and the offending path on any
+   mismatch, 2 on a usage error.
 
    The parser below is a deliberately tiny recursive-descent JSON
    reader — enough for the machine-generated files we emit; no external
@@ -69,22 +54,21 @@ let parse (s : string) : json =
       match peek () with
       | None -> fail "unterminated string"
       | Some '"' -> advance ()
-      | Some '\\' -> (
+      | Some '\\' ->
           advance ();
-          match peek () with
-          | Some ('"' | '\\' | '/') ->
-              Buffer.add_char b (Option.get (peek ()));
-              advance ();
-              go ()
-          | Some 'n' ->
-              Buffer.add_char b '\n';
-              advance ();
-              go ()
-          | Some 't' ->
-              Buffer.add_char b '\t';
-              advance ();
-              go ()
-          | _ -> fail "unsupported escape")
+          (match peek () with
+          | Some (('"' | '\\' | '/') as c) -> Buffer.add_char b c
+          | Some 'n' -> Buffer.add_char b '\n'
+          | Some 't' -> Buffer.add_char b '\t'
+          | Some 'u' when !pos + 4 < n -> (
+              match int_of_string_opt ("0x" ^ String.sub s (!pos + 1) 4) with
+              | Some u when Uchar.is_valid u ->
+                  Buffer.add_utf_8_uchar b (Uchar.of_int u);
+                  pos := !pos + 4
+              | _ -> fail "bad \\u escape")
+          | _ -> fail "unsupported escape");
+          advance ();
+          go ()
       | Some c ->
           Buffer.add_char b c;
           advance ();
@@ -201,149 +185,128 @@ let as_arr path = function
   | Arr l -> l
   | _ -> schema_fail path "expected an array"
 
-(* Per-case checks, dispatched on the top-level "suite" string. *)
+type rule =
+  | Gt of string * float  (** field > c *)
+  | Ge of string * float  (** field >= c *)
+  | Le of string * string  (** field <= another field *)
+  | Is_bool of string
+  | True of string  (** a boolean that must be true *)
 
-let check_algorithm1_case path c =
-  let name = as_string (path ^ ".name") (field path c "name") in
-  let path = Printf.sprintf "%s(%s)" path name in
+(* Per-suite case rules. Every [True "verdicts_equal"] makes verdict
+   identity part of the schema: a trajectory recording that the indexed
+   checker, POR, stubborn links or the heavy-traffic engine modes
+   changed a specification verdict is invalid, full stop. The [Le] rows
+   are exact because their fields are deterministic. *)
+let rules =
+  [
+    ( "algorithm1-scaling",
+      [
+        Gt ("ns_per_run", 0.);
+        Ge ("steps_per_sec", 0.);
+        Ge ("consensus_instances", 0.);
+        Is_bool "complete";
+      ] );
+    ( "checker-scaling",
+      [
+        Gt ("ref_ns_per_check", 0.);
+        Gt ("ns_per_check", 0.);
+        Gt ("speedup", 0.);
+        Ge ("events", 0.);
+        True "verdicts_equal";
+      ] );
+    ( "explore-scaling",
+      [
+        Gt ("depth", 0.);
+        Gt ("nodes", 0.);
+        (* POR only prunes *)
+        Le ("nodes", "nodes_naive");
+        Ge ("reduction_factor", 1.);
+        Gt ("states_per_sec", 0.);
+        Ge ("violations", 0.);
+        True "verdicts_equal";
+      ] );
+    ( "faults-scaling",
+      [
+        Ge ("drop", 0.);
+        Gt ("sent", 0.);
+        Ge ("delivered", 0.);
+        Ge ("retransmissions", 0.);
+        Ge ("lost", 0.);
+        Ge ("overhead", 0.);
+        True "verdicts_equal";
+      ] );
+    ( "throughput-scaling",
+      [
+        Gt ("msgs", 0.);
+        Ge ("shards", 1.);
+        Gt ("off_msgs_per_sec", 0.);
+        Gt ("on_msgs_per_sec", 0.);
+        Gt ("speedup", 0.);
+        Ge ("delivered", 0.);
+        Le ("delivered", "msgs");
+        (* Makespans are simulated ticks, never longer batched: the
+           drain runs a superset of the scalar engine's enabled actions
+           each tick. *)
+        Gt ("off_span_ticks", 0.);
+        Gt ("on_span_ticks", 0.);
+        Le ("on_span_ticks", "off_span_ticks");
+        Ge ("off_p50", 0.);
+        Le ("off_p50", "off_p99");
+        Le ("off_p99", "off_max");
+        Ge ("on_p50", 0.);
+        Le ("on_p50", "on_p99");
+        Le ("on_p99", "on_max");
+        (* a round is one proposal, and the drain adds none *)
+        Le ("on_rounds", "off_rounds");
+        True "verdicts_equal";
+      ] );
+  ]
+
+let check_rule path c rule =
   let num k = as_num (path ^ "." ^ k) (field path c k) in
-  if num "ns_per_run" <= 0. then schema_fail path "ns_per_run must be > 0";
-  if num "steps_per_sec" < 0. then schema_fail path "steps_per_sec must be >= 0";
-  if num "consensus_instances" < 0. then
-    schema_fail path "consensus_instances must be >= 0";
-  ignore (as_bool (path ^ ".complete") (field path c "complete"))
+  let bool k = as_bool (path ^ "." ^ k) (field path c k) in
+  let require ok msg = if not ok then schema_fail path msg in
+  match rule with
+  | Gt (k, v) -> require (num k > v) (Printf.sprintf "%s must be > %g" k v)
+  | Ge (k, v) -> require (num k >= v) (Printf.sprintf "%s must be >= %g" k v)
+  | Le (a, b) ->
+      require (num a <= num b) (Printf.sprintf "%s must be <= %s" a b)
+  | Is_bool k -> ignore (bool k)
+  | True k -> require (bool k) (k ^ " must be true")
 
-let check_checker_case path c =
-  let name = as_string (path ^ ".name") (field path c "name") in
-  let path = Printf.sprintf "%s(%s)" path name in
-  let num k = as_num (path ^ "." ^ k) (field path c k) in
-  if num "ref_ns_per_check" <= 0. then
-    schema_fail path "ref_ns_per_check must be > 0";
-  if num "ns_per_check" <= 0. then schema_fail path "ns_per_check must be > 0";
-  if num "speedup" <= 0. then schema_fail path "speedup must be > 0";
-  if num "events" < 0. then schema_fail path "events must be >= 0";
-  (* Verdict identity is part of the schema: a trajectory recording a
-     disagreement between the indexed and reference checkers is
-     invalid, full stop. *)
-  if not (as_bool (path ^ ".verdicts_equal") (field path c "verdicts_equal"))
-  then schema_fail path "verdicts_equal must be true"
-
-let check_explore_case path c =
-  let name = as_string (path ^ ".name") (field path c "name") in
-  let path = Printf.sprintf "%s(%s)" path name in
-  let num k = as_num (path ^ "." ^ k) (field path c k) in
-  if num "depth" <= 0. then schema_fail path "depth must be > 0";
-  if num "nodes" <= 0. then schema_fail path "nodes must be > 0";
-  if num "nodes_naive" < num "nodes" then
-    schema_fail path "nodes_naive must be >= nodes (POR only prunes)";
-  if num "reduction_factor" < 1. then
-    schema_fail path "reduction_factor must be >= 1";
-  if num "states_per_sec" <= 0. then
-    schema_fail path "states_per_sec must be > 0";
-  if num "violations" < 0. then schema_fail path "violations must be >= 0";
-  (* Verdict identity across the POR ablation is part of the schema: a
-     trajectory recording different verdicts with and without reduction
-     is invalid, full stop. *)
-  if not (as_bool (path ^ ".verdicts_equal") (field path c "verdicts_equal"))
-  then schema_fail path "verdicts_equal must be true"
-
-let check_faults_case path c =
-  let name = as_string (path ^ ".name") (field path c "name") in
-  let path = Printf.sprintf "%s(%s)" path name in
-  let num k = as_num (path ^ "." ^ k) (field path c k) in
-  if num "drop" < 0. then schema_fail path "drop must be >= 0";
-  if num "sent" <= 0. then schema_fail path "sent must be > 0";
-  if num "delivered" < 0. then schema_fail path "delivered must be >= 0";
-  if num "retransmissions" < 0. then
-    schema_fail path "retransmissions must be >= 0";
-  if num "lost" < 0. then schema_fail path "lost must be >= 0";
-  if num "overhead" < 0. then schema_fail path "overhead must be >= 0";
-  (* Verdict identity with the fault-free baseline is part of the
-     schema: a trajectory recording that stubborn links changed a
-     specification verdict is invalid, full stop. *)
-  if not (as_bool (path ^ ".verdicts_equal") (field path c "verdicts_equal"))
-  then schema_fail path "verdicts_equal must be true"
-
-let check_throughput_case path c =
-  let name = as_string (path ^ ".name") (field path c "name") in
-  let path = Printf.sprintf "%s(%s)" path name in
-  let num k = as_num (path ^ "." ^ k) (field path c k) in
-  if num "msgs" <= 0. then schema_fail path "msgs must be > 0";
-  if num "shards" < 1. then schema_fail path "shards must be >= 1";
-  if num "off_msgs_per_sec" <= 0. then
-    schema_fail path "off_msgs_per_sec must be > 0";
-  if num "on_msgs_per_sec" <= 0. then
-    schema_fail path "on_msgs_per_sec must be > 0";
-  if num "speedup" <= 0. then schema_fail path "speedup must be > 0";
-  if num "delivered" < 0. then schema_fail path "delivered must be >= 0";
-  if num "delivered" > num "msgs" then
-    schema_fail path "delivered must be <= msgs";
-  (* Throughput is simulated-time (one tick = one simulated ms), so the
-     makespans are exact: positive, and never longer batched — the
-     batched engine drains a superset of the scalar engine's enabled
-     actions each tick. *)
-  if num "off_span_ticks" <= 0. then
-    schema_fail path "off_span_ticks must be > 0";
-  if num "on_span_ticks" <= 0. then
-    schema_fail path "on_span_ticks must be > 0";
-  if num "on_span_ticks" > num "off_span_ticks" then
-    schema_fail path "on_span_ticks must be <= off_span_ticks";
-  (* Latency grids are tick-deterministic, so monotonicity is exact:
-     p50 <= p99 <= max in both engine modes. *)
-  List.iter
-    (fun mode ->
-      let p50 = num (mode ^ "_p50")
-      and p99 = num (mode ^ "_p99")
-      and mx = num (mode ^ "_max") in
-      if p50 < 0. then schema_fail path (mode ^ "_p50 must be >= 0");
-      if p50 > p99 || p99 > mx then
-        schema_fail path (mode ^ " percentiles must be monotone"))
-    [ "off"; "on" ];
-  (* A round is one proposal and the drain runs the paper's actions, so
-     the batched run never takes more rounds than the scalar one. *)
-  if num "on_rounds" > num "off_rounds" then
-    schema_fail path "on_rounds must be <= off_rounds";
-  (* Verdict identity across engine modes is part of the schema: a
-     trajectory recording that batching/sharding changed a
-     specification verdict is invalid, full stop. *)
-  if not (as_bool (path ^ ".verdicts_equal") (field path c "verdicts_equal"))
-  then schema_fail path "verdicts_equal must be true"
-
-let check_entry check_case i e =
+let check_entry rules i e =
   let path = Printf.sprintf "entries[%d]" i in
   let label = as_string (path ^ ".label") (field path e "label") in
   let path = Printf.sprintf "%s(%s)" path label in
+  (match e with
+  | Obj fields when List.mem_assoc "cores" fields ->
+      let cores = as_num (path ^ ".cores") (field path e "cores") in
+      if not (Float.is_integer cores && cores >= 1.) then
+        schema_fail path "cores must be an integer >= 1"
+  | _ -> ());
   let cases = as_arr (path ^ ".cases") (field path e "cases") in
   if cases = [] then schema_fail path "cases must be non-empty";
-  List.iter (check_case (path ^ ".cases")) cases
+  List.iter
+    (fun c ->
+      let path = path ^ ".cases" in
+      let name = as_string (path ^ ".name") (field path c "name") in
+      List.iter (check_rule (Printf.sprintf "%s(%s)" path name) c) rules)
+    cases
 
 let check_trajectory j =
   let schema = as_string "schema" (field "top" j "schema") in
   if schema <> "amcast-bench-trajectory/v1" then
     schema_fail "schema" ("unknown schema " ^ schema);
   let suite = as_string "suite" (field "top" j "suite") in
-  let check_case =
-    match suite with
-    | "algorithm1-scaling" -> check_algorithm1_case
-    | "checker-scaling" -> check_checker_case
-    | "explore-scaling" -> check_explore_case
-    | "faults-scaling" -> check_faults_case
-    | "throughput-scaling" -> check_throughput_case
-    | _ -> schema_fail "suite" ("unknown suite " ^ suite)
+  let rules =
+    match List.assoc_opt suite rules with
+    | Some r -> r
+    | None -> schema_fail "suite" ("unknown suite " ^ suite)
   in
   let entries = as_arr "entries" (field "top" j "entries") in
   if entries = [] then schema_fail "entries" "must be non-empty";
-  List.iteri (check_entry check_case) entries
-
-let check_file file =
-  let text = In_channel.with_open_bin file In_channel.input_all in
-  let j = parse text in
-  check_trajectory j;
-  let entries =
-    match field "top" j "entries" with Arr l -> List.length l | _ -> 0
-  in
-  Printf.printf "%s: ok (%d entr%s)\n" file entries
-    (if entries = 1 then "y" else "ies")
+  List.iteri (check_entry rules) entries;
+  List.length entries
 
 let () =
   let files =
@@ -355,7 +318,14 @@ let () =
   in
   List.iter
     (fun file ->
-      try check_file file with
+      try
+        let entries =
+          check_trajectory
+            (parse (In_channel.with_open_bin file In_channel.input_all))
+        in
+        Printf.printf "%s: ok (%d entr%s)\n" file entries
+          (if entries = 1 then "y" else "ies")
+      with
       | Parse msg ->
           Printf.eprintf "%s: JSON parse error: %s\n" file msg;
           exit 1
