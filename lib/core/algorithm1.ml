@@ -36,15 +36,17 @@ type t = {
   variant : variant;
   msgs : Amsg.t array;
   req_at : int array;
-  (* LOG_{g∩h}, indexed by the normalised pair ((g, g) is LOG_g);
-     [None] until first touched. An array because the lookup sits in
-     every guard of the stepper's hot path. [owned.(g).(h)]: this state
-     alone holds the log, so a write may go to it in place. *)
-  logs : datum Log.t option array array;
-  owned : bool array array;
+  ng : int;  (* the number of groups, the row length of [pair] *)
+  (* LOG_{g∩h} at [pair st g h] of the normalised pair (g <= h; (g, g)
+     is LOG_g); [None] until first touched. A flat array because the
+     lookup sits in every guard of the stepper's hot path and [copy]
+     copies it in one call. [owned.(pair st g h)]: this state alone
+     holds the log, so a write may go to it in place. *)
+  logs : datum Log.t option array;
+  owned : bool array;
   (* The shared lists L_g of the Prop. 1 reduction (append order,
      newest first) and whether a message has been listed. *)
-  lists : int list ref array;
+  lists : int list array;
   listed : bool array;
   (* Incremental view of m's Pend tuples in LOG_g — the groups covered
      and the highest recorded position. Tuples are only ever written by
@@ -88,11 +90,11 @@ type t = {
   (* Membership caches for the two hottest [Log.mem] probes — a datum
      key hashes a variant tuple, so the Hashtbl probe costs more than
      the guard around it. [sent.(m)]: Msg m is in LOG_g (written only
-     by [try_send]); [stab_done.(m).(h)]: Stab (m, h) is in LOG_g
-     (written only by [try_stabilize]). Appends are irrevocable, so the
-     caches are exact. *)
+     by [try_send]); [stab_done.(pair st m h)]: Stab (m, h) is in LOG_g
+     (written only by [try_stabilize]), one row of [num_groups] flags
+     per message. Appends are irrevocable, so the caches are exact. *)
   sent : bool array;
-  stab_done : bool array array;
+  stab_done : bool array;
 }
 
 (* The stages of a message at a process, in the order they are passed;
@@ -107,6 +109,11 @@ let stage_count = 6
 
 (* [phase] and [visible_at] cell of (p, m). *)
 let cell st p m = (p * Array.length st.msgs) + m
+
+(* Row [i], column [h] of a table with one column per group: the [logs]
+   and [owned] cell of (i, h) = (g, h), the [stab_done] cell of
+   (i, h) = (m, h). *)
+let pair st i h = (i * st.ng) + h
 
 let rec insert m = function
   | m' :: rest when m' < m -> m' :: insert m rest
@@ -125,13 +132,13 @@ let leave st p m s =
   st.stages.(i) <- remove m st.stages.(i)
 
 let log st g h =
-  let g, h = if g <= h then (g, h) else (h, g) in
-  match st.logs.(g).(h) with
+  let i = if g <= h then pair st g h else pair st h g in
+  match st.logs.(i) with
   | Some l -> l
   | None ->
       let l = Log.create ~compare:compare_datum in
-      st.logs.(g).(h) <- Some l;
-      st.owned.(g).(h) <- true;
+      st.logs.(i) <- Some l;
+      st.owned.(i) <- true;
       l
 
 (* Copy-on-write ([copy]): before a write to LOG_{g∩h}, a state that
@@ -139,12 +146,12 @@ let log st g h =
    would change nothing, so a log stays shared for as long as neither
    side really writes it. *)
 let own st g h ~noop d =
-  let g, h = if g <= h then (g, h) else (h, g) in
-  if not st.owned.(g).(h) then begin
+  let i = if g <= h then pair st g h else pair st h g in
+  if not st.owned.(i) then begin
     let l = log st g h in
     if not (noop l d) then begin
-      st.logs.(g).(h) <- Some (Log.copy l);
-      st.owned.(g).(h) <- true
+      st.logs.(i) <- Some (Log.copy l);
+      st.owned.(i) <- true
     end
   end
 
@@ -175,7 +182,7 @@ let create ?(variant = Vanilla) ?(faults = Channel_fault.none) ?(fault_seed = 1)
       if msg.Amsg.id <> i then
         invalid_arg "Algorithm1.create: message ids must be 0 .. K-1")
     reqs;
-  let n = Topology.n topo in
+  let n = Topology.n topo and ng = Topology.num_groups topo in
   let msgs = Array.map (fun r -> r.Workload.msg) reqs in
   let families = mu.Mu.families in
   let h_key =
@@ -204,13 +211,10 @@ let create ?(variant = Vanilla) ?(faults = Channel_fault.none) ?(fault_seed = 1)
     variant;
     msgs;
     req_at = Array.map (fun r -> r.Workload.at) reqs;
-    logs =
-      Array.make_matrix (Topology.num_groups topo) (Topology.num_groups topo)
-        None;
-    owned =
-      Array.make_matrix (Topology.num_groups topo) (Topology.num_groups topo)
-        false;
-    lists = Array.init (Topology.num_groups topo) (fun _ -> ref []);
+    ng;
+    logs = Array.make (ng * ng) None;
+    owned = Array.make (ng * ng) false;
+    lists = Array.make ng [];
     listed = Array.make k false;
     pend_hs = Array.make k [];
     pend_k = Array.make k 0;
@@ -230,7 +234,7 @@ let create ?(variant = Vanilla) ?(faults = Channel_fault.none) ?(fault_seed = 1)
     seq = 0;
     rounds = 0;
     sent = Array.make k false;
-    stab_done = Array.make_matrix k (Topology.num_groups topo) false;
+    stab_done = Array.make (k * ng) false;
   }
 
 (* The shared objects are copied on write: the copy holds the same
@@ -239,18 +243,19 @@ let create ?(variant = Vanilla) ?(faults = Channel_fault.none) ?(fault_seed = 1)
    [propose]). Reads stay on the shared object, whose read caches fill
    idempotently. Every other mutable field gets its own storage; the
    immutable data ([topo], [mu], [msgs], [h_key], [groups_of],
-   [faults], the event list) is shared. [logs] is copied one level
-   deep, so a log first touched in the copy stays absent from the
-   original. *)
+   [faults], the event list, the lists in [lists] and [stages]) is
+   shared. Every mutable table is one flat array, so the copy is one
+   [Array.copy] per table; a log first touched in the copy stays absent
+   from the original. *)
 let copy st =
-  Array.iter (fun row -> Array.fill row 0 (Array.length row) false) st.owned;
+  Array.fill st.owned 0 (Array.length st.owned) false;
   st.cons_owned <- false;
   {
     st with
     req_at = Array.copy st.req_at;
-    logs = Array.map Array.copy st.logs;
-    owned = Array.map Array.copy st.owned;
-    lists = Array.map (fun l -> ref !l) st.lists;
+    logs = Array.copy st.logs;
+    owned = Array.copy st.owned;
+    lists = Array.copy st.lists;
     listed = Array.copy st.listed;
     pend_hs = Array.copy st.pend_hs;
     pend_k = Array.copy st.pend_k;
@@ -259,7 +264,7 @@ let copy st =
     stages = Array.copy st.stages;
     visible_at = Array.copy st.visible_at;
     sent = Array.copy st.sent;
-    stab_done = Array.map Array.copy st.stab_done;
+    stab_done = Array.copy st.stab_done;
   }
 
 let emit st ev =
@@ -339,8 +344,8 @@ let arrived st row t m = row < 0 || t >= st.visible_at.(row + m)
 let try_list st p t m =
   let msg = st.msgs.(m) in
   if msg.Amsg.src = p && t >= st.req_at.(m) && not st.listed.(m) then begin
-    let l = st.lists.(msg.Amsg.dst) in
-    l := m :: !l;
+    let g = msg.Amsg.dst in
+    st.lists.(g) <- m :: st.lists.(g);
     st.listed.(m) <- true;
     leave st p m s_unlisted;
     Pset.iter
@@ -369,7 +374,7 @@ let try_send st p t m =
            | [] -> []
            | x :: rest -> if x = m then rest else after_m rest
          in
-         after_m !(st.lists.(g))
+         after_m st.lists.(g)
        in
        List.for_all (fun m' -> st.phase.(cell st p m') = Trace.Delivered) older
      end
@@ -432,18 +437,18 @@ let try_stabilize st p t m h =
   let g = st.msgs.(m).Amsg.dst in
   ignore t;
   st.phase.(cell st p m) = Trace.Commit
-  && (not st.stab_done.(m).(h))
+  && (not st.stab_done.(pair st m h))
   && prefix_at_rank st p g h m (Trace.phase_rank Trace.Stable)
   && begin
        ignore (append st g g (Stab (m, h)));
-       st.stab_done.(m).(h) <- true;
+       st.stab_done.(pair st m h) <- true;
        true
      end
 
 (* stable(m), lines 30–33 (variant-dependent precondition, §6.1). *)
 let try_stable st p t m =
   let g = st.msgs.(m).Amsg.dst in
-  let has_stab h = st.stab_done.(m).(h) in
+  let has_stab h = st.stab_done.(pair st m h) in
   st.phase.(cell st p m) = Trace.Commit
   && (match st.variant with
      | Vanilla -> List.for_all has_stab (gamma_groups st p t g)
@@ -536,11 +541,10 @@ let events_since st ~tail =
 let phase st ~pid ~m = st.phase.(cell st pid m)
 
 let log_keys st =
-  let k = Topology.num_groups st.topo in
   let acc = ref [] in
-  for g = k - 1 downto 0 do
-    for h = k - 1 downto g do
-      match st.logs.(g).(h) with
+  for g = st.ng - 1 downto 0 do
+    for h = st.ng - 1 downto g do
+      match st.logs.(pair st g h) with
       | Some _ -> acc := (g, h) :: !acc
       | None -> ()
     done
@@ -548,17 +552,16 @@ let log_keys st =
   !acc
 
 let log_snapshot st (g, h) =
-  let k = Topology.num_groups st.topo in
-  if g < 0 || h < 0 || g >= k || h >= k then []
+  if g < 0 || h < 0 || g >= st.ng || h >= st.ng then []
   else
-    match st.logs.(g).(h) with
+    match st.logs.(pair st g h) with
     | None -> []
     | Some l -> Log.snapshot l
 
 let consensus_instances st = Consensus_table.instances st.cons
 
 let listed st ~m = st.listed.(m)
-let list_snapshot st g = !(st.lists.(g))
+let list_snapshot st g = st.lists.(g)
 
 let consensus_decisions st =
   let cmp ((m, fam), v) ((m', fam'), v') =

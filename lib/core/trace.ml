@@ -29,7 +29,9 @@ type event =
    matching event" semantics (find_map over the list) is preserved by
    only recording the first occurrence; duplicate events (e.g. a
    double delivery that integrity must flag) still appear in the list
-   tables ([deliveries], [delivery_order], [phases]). *)
+   tables ([deliveries], [delivery_order], [phases]). The phase
+   histories, a list per (p, m) cell that only claim 14 reads, are
+   built on the first [phase_history] query. *)
 type index = {
   np : int;  (* exclusive process bound: max n, 1 + max p seen *)
   mb : int;  (* exclusive message bound: 1 + max m seen *)
@@ -45,7 +47,8 @@ type index = {
   snd_seq : int array;  (* mb: seq of the first Send *)
   snd_present : Bytes.t;
   invoked : int list;  (* invoked m's, in order *)
-  phases : phase list array;  (* np*mb: phase history, oldest first *)
+  mutable phases : phase list array option;
+      (* np*mb: phase history, oldest first *)
 }
 
 type t = { events : event list; n : int; mutable index : index option }
@@ -77,7 +80,6 @@ let build t =
   let snd_seq = Array.make mb 0 in
   let snd_present = Bytes.make mb '\000' in
   let delivery_order = Array.make np [] in
-  let phases = Array.make cells [] in
   let deliveries = ref [] in
   let invoked = ref [] in
   List.iter
@@ -95,9 +97,7 @@ let build t =
             snd_seq.(m) <- seq;
             Bytes.set snd_present m '\001'
           end
-      | Phase_change { m; p; phase; _ } ->
-          let k = (p * mb) + m in
-          phases.(k) <- phase :: phases.(k)
+      | Phase_change _ -> ()
       | Deliver { m; p; time; seq } ->
           let k = (p * mb) + m in
           if Bytes.get del_present k = '\000' then begin
@@ -109,11 +109,9 @@ let build t =
             Bytes.set first_del_present m '\001'
           end;
           deliveries := (p, m, time, seq) :: !deliveries;
-          delivery_order.(p) <- m :: delivery_order.(p);
-          phases.(k) <- Delivered :: phases.(k))
+          delivery_order.(p) <- m :: delivery_order.(p))
     t.events;
   Array.iteri (fun i l -> delivery_order.(i) <- List.rev l) delivery_order;
-  Array.iteri (fun i l -> phases.(i) <- List.rev l) phases;
   {
     np;
     mb;
@@ -129,13 +127,33 @@ let build t =
     snd_seq;
     snd_present;
     invoked = List.rev !invoked;
-    phases;
+    phases = None;
   }
+
+(* Most cells stay empty (a message has a phase only at its
+   destination's members), so only lists of two or more are reversed. *)
+let build_phases t ix =
+  let phases = Array.make (ix.np * ix.mb) [] in
+  List.iter
+    (function
+      | Phase_change { m; p; phase; _ } ->
+          let k = (p * ix.mb) + m in
+          phases.(k) <- phase :: phases.(k)
+      | Deliver { m; p; _ } ->
+          let k = (p * ix.mb) + m in
+          phases.(k) <- Delivered :: phases.(k)
+      | Invoke _ | Send _ -> ())
+    t.events;
+  for k = 0 to Array.length phases - 1 do
+    match phases.(k) with [] | [ _ ] -> () | l -> phases.(k) <- List.rev l
+  done;
+  phases
 
 (* Building the index is idempotent and derived purely from the
    immutable [events], so the memoizing write is benign: concurrent
    builders compute equal indexes and the queries below read whichever
-   one is published. *)
+   one is published. The phase table is memoized in the index the same
+   way. *)
 let index t =
   match t.index with
   | Some ix -> ix
@@ -194,4 +212,14 @@ let invoked t = (index t).invoked
 
 let phase_history t ~p ~m =
   let ix = index t in
-  if not (in_cell ix ~p ~m) then [] else ix.phases.((p * ix.mb) + m)
+  if not (in_cell ix ~p ~m) then []
+  else
+    let phases =
+      match ix.phases with
+      | Some phases -> phases
+      | None ->
+          let phases = build_phases t ix in
+          ix.phases <- Some phases;
+          phases
+    in
+    phases.((p * ix.mb) + m)

@@ -24,9 +24,10 @@ type index
 (** Lazily-built lookup tables over the event list: per-[(p, m)]
     delivery seq/presence keyed by flat [p*M + m] ints, per-process
     delivery orders, per-message invoke/send/first-delivery seqs, the
-    invoked-message list and phase histories. Derived purely from
-    [events], so it never changes an answer — it only replaces the
-    per-query O(|events|) scans with O(1) lookups. *)
+    invoked-message list and, from the first {!phase_history} query
+    on, phase histories. Derived purely from [events], so it never
+    changes an answer — it only replaces the per-query O(|events|)
+    scans with O(1) lookups. *)
 
 type t = {
   events : event list;  (** in execution (sequence) order *)

@@ -169,7 +169,7 @@ let derive ~fp st (stats : Engine.stats) mv =
   let fired =
     match mv with
     | Step p ->
-        Pset.mem p (Failure_pattern.alive_at fp t)
+        (not (Failure_pattern.is_crashed_at fp p t))
         && Algorithm1.step st ~pid:p ~time:t
         && begin
              steps.(p) <- steps.(p) + 1;
@@ -288,10 +288,11 @@ let check_terminal ctx c tbl st stats rpath =
    component with the fewest enabled processes (persistent set), and
    an [Idle] child is prepended while the clock is not steady. *)
 let candidates ctx c ~st ~stats ~t =
-  let alive = Failure_pattern.alive_at ctx.fp t in
   let hinted =
     List.filter
-      (fun p -> Pset.mem p alive && Algorithm1.enabled st ~pid:p ~time:t)
+      (fun p ->
+        (not (Failure_pattern.is_crashed_at ctx.fp p t))
+        && Algorithm1.enabled st ~pid:p ~time:t)
       (List.init ctx.n Fun.id)
   in
   let probes =

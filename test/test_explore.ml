@@ -722,6 +722,101 @@ let render_matches_printf () =
     true
     (!pending > 0 && !lost > 0)
 
+let key =
+  Alcotest.testable
+    (fun fmt (k : Fingerprint.t) -> Format.fprintf fmt "%x.%x" k.h1 k.h2)
+    ( = )
+
+(* Fingerprint.of_state keys a state by the hashes of its rendering's
+   segments. On every walked state, at the raw and at the steady-time
+   cut, the key from no segments equals the key from the segments
+   carried down the walk, and keys and renderings determine each other
+   over all configurations at once: equal renderings have equal keys
+   and equal keys equal renderings.
+
+   The key is no sum or XOR of the segment hashes either: such a key
+   ignores the order of the segments, and any two moves of processes
+   in different interaction components that change different segments
+   would give key(S·p·q) − key(S·p) = key(S·q) − key(S), in both lanes,
+   whatever the state S. Fault-free states past the steady time (the
+   four keys share their time) are checked for every such pair that
+   fires. *)
+let key_matches_text () =
+  let carried = ref None in
+  let key_of = Hashtbl.create 4096 and text_of = Hashtbl.create 4096 in
+  let diamonds = ref 0 in
+  iter_walks (fun ~name ~sc ~prefix:_ parent parent_stats derive ->
+      let topo = Scenario.topology sc and msgs = List.length sc.Scenario.msgs in
+      let segments =
+        match !carried with
+        | Some (st0, segments) when st0 == parent -> segments
+        | _ ->
+            snd
+              (Fingerprint.of_state ~reuse:Fingerprint.none
+                 ~time:parent_stats.Engine.ticks_used ~topo ~msgs parent)
+      in
+      let t = parent_stats.Engine.ticks_used
+      and steady = Explore.steady_time sc in
+      (if Channel_fault.is_none sc.Scenario.faults && t >= steady then
+         let comp = Topology.process_components topo in
+         let fp = Scenario.failure_pattern sc in
+         let key_at st =
+           fst
+             (Fingerprint.of_state ~reuse:Fingerprint.none ~time:steady ~topo
+                ~msgs st)
+         in
+         let step st stats p = Explore.derive ~fp st stats (Explore.Step p) in
+         for p = 0 to sc.Scenario.n - 1 do
+           for q = 0 to sc.Scenario.n - 1 do
+             if comp.(p) < comp.(q) then
+               let st_p, stats_p, fired_p = step parent parent_stats p in
+               let st_q, _, fired_q = step parent parent_stats q in
+               let st_pq, _, fired_pq = step st_p stats_p q in
+               if fired_p && fired_q && fired_pq then begin
+                 let s = key_at parent and k_p = key_at st_p in
+                 let k_q = key_at st_q and k_pq = key_at st_pq in
+                 let linear (lane : Fingerprint.t -> int) =
+                   lane k_pq lxor lane k_p = lane k_q lxor lane s
+                   || lane k_pq - lane k_p = lane k_q - lane s
+                 in
+                 if linear (fun k -> k.h1) || linear (fun k -> k.h2) then
+                   Alcotest.failf "%s at t%d: keys of p%d, q%d are linear"
+                     name t p q;
+                 incr diamonds
+               end
+           done
+         done);
+      let ((st, stats, _) as child) = derive () in
+      List.iter
+        (fun time ->
+          let at what = Printf.sprintf "%s at t%d: %s" name time what in
+          let k =
+            fst
+              (Fingerprint.of_state ~reuse:Fingerprint.none ~time ~topo ~msgs
+                 st)
+          in
+          let k', segments' =
+            Fingerprint.of_state ~reuse:segments ~time ~topo ~msgs st
+          in
+          expect key (at "key from the parent's segments") k k';
+          carried := Some (st, segments');
+          let text = Fingerprint.render ~time ~topo ~msgs st in
+          (match Hashtbl.find_opt key_of text with
+          | Some k0 -> expect key (at "equal renderings, equal keys") k0 k
+          | None -> Hashtbl.replace key_of text k);
+          match Hashtbl.find_opt text_of k with
+          | Some text0 ->
+              expect Alcotest.string (at "equal keys, equal renderings") text0
+                text
+          | None -> Hashtbl.replace text_of k text)
+        [ stats.Engine.ticks_used; min stats.Engine.ticks_used steady ];
+      child);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d renderings keyed, %d diamonds" (Hashtbl.length key_of)
+       !diamonds)
+    true
+    (Hashtbl.length key_of > 1000 && !diamonds > 100)
+
 (* The steady-time cut is sound only if no detector output changes
    from t_steady on, so that idling past it changes nothing. Generated
    crash scenarios under every ablation, with the generator's delay
@@ -767,5 +862,6 @@ let suite =
     t "claims: clean, counters = claims-free" `Quick claims_counters;
     t "derived children = replayed prefixes" `Quick derived_equals_replayed;
     t "render = Printf reference" `Quick render_matches_printf;
+    t "key = text" `Quick key_matches_text;
     t "steady time: μ constant from t_steady on" `Quick steady_time_settles_mu;
   ]

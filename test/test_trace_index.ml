@@ -57,30 +57,44 @@ let naive_phase_history events ~p ~m =
     events
 
 (* Probe every query over a grid that overshoots the mentioned ids on
-   both sides (negative and past-the-end probes must agree too). *)
+   both sides (negative and past-the-end probes must agree too). The
+   phase histories are built on the first [phase_history] query, so
+   the grid runs on three fresh traces: with [phase_history] asked
+   among the other queries, before them all, and after them all. *)
 let agrees ~n events =
-  let tr = Trace.make ~n events in
   let pmax = n + 2 and mmax = 8 in
-  Trace.deliveries tr = naive_deliveries events
-  && Trace.invoked tr = naive_invoked events
-  && List.for_all
-       (fun p -> Trace.delivery_order tr p = naive_delivery_order events p)
-       (List.init (pmax + 2) (fun i -> i - 1))
-  && List.for_all
-       (fun m ->
-         Trace.first_delivery_seq tr ~m = naive_first_delivery_seq events ~m
-         && Trace.invoke_seq tr ~m = naive_invoke_seq events ~m
-         && Trace.send_seq tr ~m = naive_send_seq events ~m)
-       (List.init (mmax + 2) (fun i -> i - 1))
-  && List.for_all
-       (fun p ->
-         List.for_all
-           (fun m ->
-             Trace.delivered_at tr ~p ~m = naive_delivered_at events ~p ~m
-             && Trace.delivery_seq tr ~p ~m = naive_delivery_seq events ~p ~m
-             && Trace.phase_history tr ~p ~m = naive_phase_history events ~p ~m)
-           (List.init (mmax + 2) (fun i -> i - 1)))
-       (List.init (pmax + 2) (fun i -> i - 1))
+  let ps = List.init (pmax + 2) (fun i -> i - 1)
+  and ms = List.init (mmax + 2) (fun i -> i - 1) in
+  let cells f = List.for_all (fun p -> List.for_all (fun m -> f ~p ~m) ms) ps in
+  let history tr ~p ~m =
+    Trace.phase_history tr ~p ~m = naive_phase_history events ~p ~m
+  in
+  let others tr ~also =
+    Trace.deliveries tr = naive_deliveries events
+    && Trace.invoked tr = naive_invoked events
+    && List.for_all
+         (fun p -> Trace.delivery_order tr p = naive_delivery_order events p)
+         ps
+    && List.for_all
+         (fun m ->
+           Trace.first_delivery_seq tr ~m = naive_first_delivery_seq events ~m
+           && Trace.invoke_seq tr ~m = naive_invoke_seq events ~m
+           && Trace.send_seq tr ~m = naive_send_seq events ~m)
+         ms
+    && cells (fun ~p ~m ->
+           Trace.delivered_at tr ~p ~m = naive_delivered_at events ~p ~m
+           && Trace.delivery_seq tr ~p ~m = naive_delivery_seq events ~p ~m
+           && also tr ~p ~m)
+  in
+  let nothing _ ~p:_ ~m:_ = true in
+  let among = Trace.make ~n events
+  and first = Trace.make ~n events
+  and last = Trace.make ~n events in
+  others among ~also:history
+  && cells (history first)
+  && others first ~also:nothing
+  && others last ~also:nothing
+  && cells (history last)
 
 let phases = [| Trace.Start; Pending; Commit; Stable; Delivered |]
 
