@@ -67,12 +67,12 @@ let cases ~smoke =
         ~variant:Algorithm1.Vanilla;
     ]
 
-let measure ~quota_ms ~jobs c =
+let measure ~quota_ms c =
   let t =
-    Trajectory.time ~quota_ms (fun () -> Explore.run ~jobs ?depth:c.bound c.sc)
+    Trajectory.time ~quota_ms (fun () -> Explore.run ?depth:c.bound c.sc)
   in
   let reduced = t.result in
-  let naive = Explore.run ~por:false ~jobs ?depth:c.bound c.sc in
+  let naive = Explore.run ~por:false ?depth:c.bound c.sc in
   let nodes = reduced.Explore.counters.Explore.nodes
   and nodes_naive = naive.Explore.counters.Explore.nodes in
   Trajectory.
@@ -104,10 +104,8 @@ let measure ~quota_ms ~jobs c =
 let suite =
   {
     Trajectory.name = "explore";
-    header = (fun cfg -> [ ("jobs", Trajectory.Int cfg.jobs) ]);
+    header = (fun _ -> []);
     cases =
       (fun cfg ->
-        List.map
-          (measure ~quota_ms:cfg.quota_ms ~jobs:cfg.jobs)
-          (cases ~smoke:cfg.smoke));
+        List.map (measure ~quota_ms:cfg.quota_ms) (cases ~smoke:cfg.smoke));
   }

@@ -511,7 +511,7 @@ let print_explore_report ~json r =
   end
 
 let explore replay topo msgs variant ablation crashes max_delay seed depth
-    max_depth min_witness no_por no_cache claims json jobs =
+    max_depth min_witness no_por no_cache claims json =
   let por = not no_por and cache = not no_cache in
   let scenario =
     match replay with
@@ -537,7 +537,7 @@ let explore replay topo msgs variant ablation crashes max_delay seed depth
               | None, Scenario.Pinned moves -> Some (List.length moves + 1)
               | None, _ -> None
             in
-            match Explore.min_witness ~por ~cache ~jobs ?max_depth sc with
+            match Explore.min_witness ~por ~cache ?max_depth sc with
             | Some r ->
                 print_explore_report ~json r;
                 Ok exit_violation
@@ -553,7 +553,7 @@ let explore replay topo msgs variant ablation crashes max_delay seed depth
                 else Ok 0
           end
           else begin
-            let r = Explore.run ~por ~cache ~claims ~jobs ?depth sc in
+            let r = Explore.run ~por ~cache ~claims ?depth sc in
             print_explore_report ~json r;
             if r.Explore.violations <> [] then Ok exit_violation else Ok 0
           end)
@@ -571,8 +571,8 @@ let explore_cmd =
          schedule of the configuration is explored up to a depth bound, \
          modulo partial-order reduction (persistent sets from the group \
          intersection structure) and visited-state fingerprint \
-         caching. Reports are bit-identical for every $(b,--jobs) \
-         value.";
+         caching. The search is one depth-first sweep with one visited \
+         cache, on one domain, so its report is the same on every run.";
       `P
         "The configuration comes from $(b,--topology) and friends, or \
          from a scenario file via $(b,--replay) (its schedule line is \
@@ -586,7 +586,7 @@ let explore_cmd =
         (const explore $ replay_arg $ topology_arg $ explore_msgs_arg
        $ variant_arg $ ablation_arg $ crashes_arg $ max_delay_arg $ seed_arg
        $ depth_arg $ max_depth_arg $ min_witness_arg $ no_por_arg
-       $ no_cache_arg $ claims_arg $ json_arg $ jobs_arg))
+       $ no_cache_arg $ claims_arg $ json_arg))
 
 (* ------------------------------------------------------------------ *)
 (* bench-throughput                                                    *)

@@ -39,7 +39,6 @@ type report = {
   por : bool;
   cache : bool;
   claims : bool;
-  jobs : int;
   counters : counters;
   violations : violation list;
 }
@@ -73,6 +72,17 @@ let default_depth sc =
 (* Exploration context and replay primitive                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The search's mutable counters; [counters] above is their frozen copy. *)
+type acc = {
+  mutable c_nodes : int;
+  mutable c_terminals : int;
+  mutable c_truncated : int;
+  mutable c_cache_hits : int;
+  mutable c_por_skips : int;
+  mutable c_replayed_steps : int;
+  mutable c_max_depth : int;
+}
+
 type ctx = {
   sc : Scenario.t;
   topo : Topology.t;
@@ -87,29 +97,11 @@ type ctx = {
   cache : bool;
   claims : bool;
   stop_on_first : bool;
+  c : acc;
+  visited : (Fingerprint.t, int) Hashtbl.t;
+      (* each fingerprint's largest remaining depth explored *)
+  viols : (string, violation) Hashtbl.t;  (* one entry per property *)
 }
-
-(* Mutable per-branch counters; [counters] above is the frozen sum. *)
-type acc = {
-  mutable c_nodes : int;
-  mutable c_terminals : int;
-  mutable c_truncated : int;
-  mutable c_cache_hits : int;
-  mutable c_por_skips : int;
-  mutable c_replayed_steps : int;
-  mutable c_max_depth : int;
-}
-
-let fresh_acc () =
-  {
-    c_nodes = 0;
-    c_terminals = 0;
-    c_truncated = 0;
-    c_cache_hits = 0;
-    c_por_skips = 0;
-    c_replayed_steps = 0;
-    c_max_depth = 0;
-  }
 
 let make_ctx ~por ~cache ~claims ~stop_on_first sc =
   let sc = { sc with Scenario.schedule = Scenario.Free } in
@@ -140,24 +132,27 @@ let make_ctx ~por ~cache ~claims ~stop_on_first sc =
     cache;
     claims;
     stop_on_first;
+    c =
+      {
+        c_nodes = 0;
+        c_terminals = 0;
+        c_truncated = 0;
+        c_cache_hits = 0;
+        c_por_skips = 0;
+        c_replayed_steps = 0;
+        c_max_depth = 0;
+      };
+    visited = Hashtbl.create 1024;
+    viols = Hashtbl.create 16;
   }
 
 let moves_array moves =
   Array.of_list (List.map (function Step p -> Some p | Idle -> None) moves)
 
-(* The root node: the initial state and the stats of the empty pinned
-   prefix. *)
-let replay ctx =
-  let st =
-    Algorithm1.create ~variant:ctx.sc.Scenario.variant
-      ~faults:ctx.sc.Scenario.faults ~fault_seed:ctx.sc.Scenario.seed
-      ~topo:ctx.topo ~mu:ctx.mu ~workload:ctx.workload ()
-  in
-  let stats, _ =
-    Engine.run_pinned ~fp:ctx.fp ~moves:[||]
-      ~step:(Algorithm1.step st) ()
-  in
-  (st, stats)
+let initial_state ctx =
+  Algorithm1.create ~variant:ctx.sc.Scenario.variant
+    ~faults:ctx.sc.Scenario.faults ~fault_seed:ctx.sc.Scenario.seed
+    ~topo:ctx.topo ~mu:ctx.mu ~workload:ctx.workload ()
 
 (* The one tick [Engine.run_pinned] would run at time [ticks_used]:
    the pinned process, if alive then, calls [step] once; nobody else
@@ -205,25 +200,24 @@ let outcome_of ctx st (stats : Engine.stats) ~snapshots =
 (* ------------------------------------------------------------------ *)
 
 (* One entry per property; shorter witnesses replace longer ones, the
-   first witness found wins among equals (DFS order, then branch
-   order). *)
-let record tbl property detail witness =
-  match Hashtbl.find_opt tbl property with
+   first witness found wins among equals (DFS order). *)
+let record ctx property detail witness =
+  match Hashtbl.find_opt ctx.viols property with
   | Some prev when List.length prev.witness <= List.length witness -> ()
-  | _ -> Hashtbl.replace tbl property { property; detail; witness }
+  | _ -> Hashtbl.replace ctx.viols property { property; detail; witness }
 
 (* Safety = everything but termination. Returns whether the node
    violates (the subtree is then pruned: violations are monotone,
    deeper nodes only repeat them). [rpath] is the node's move prefix,
    newest first. *)
-let check_safety tbl o rpath =
+let check_safety ctx o rpath =
   List.fold_left
     (fun bad (name, verdict) ->
       match verdict with
       | Ok () -> bad
       | Error _ when String.equal name "termination" -> bad
       | Error e ->
-          record tbl name e (List.rev rpath);
+          record ctx name e (List.rev rpath);
           true)
     false (Properties.all o)
 
@@ -249,31 +243,27 @@ let safety_unchanged ~parent:(st, (stats : Engine.stats))
    completed run or a genuine deadlock. Termination becomes meaningful
    here; with [claims] the prefix is re-replayed with per-tick
    snapshots for the Table 2 invariants. *)
-let check_terminal ctx c tbl st stats rpath =
+let check_terminal ctx st stats rpath =
   let path = List.rev rpath in
   let o = outcome_of ctx st stats ~snapshots:[] in
   (match Properties.termination o with
   | Ok () -> ()
-  | Error e -> record tbl "termination" e path);
+  | Error e -> record ctx "termination" e path);
   if ctx.claims then begin
-    let st' =
-      Algorithm1.create ~variant:ctx.sc.Scenario.variant
-        ~faults:ctx.sc.Scenario.faults ~fault_seed:ctx.sc.Scenario.seed
-        ~topo:ctx.topo ~mu:ctx.mu ~workload:ctx.workload ()
-    in
+    let st' = initial_state ctx in
     let snaps = ref [] in
     let on_tick t = snaps := (t, snapshot_of st') :: !snaps in
     let stats', _ =
       Engine.run_pinned ~fp:ctx.fp ~on_tick ~moves:(moves_array path)
         ~step:(Algorithm1.step st') ()
     in
-    c.c_replayed_steps <- c.c_replayed_steps + stats'.Engine.executed;
+    ctx.c.c_replayed_steps <- ctx.c.c_replayed_steps + stats'.Engine.executed;
     let o = outcome_of ctx st' stats' ~snapshots:(List.rev !snaps) in
     List.iter
       (fun (name, verdict) ->
         match verdict with
         | Ok () -> ()
-        | Error e -> record tbl name e path)
+        | Error e -> record ctx name e path)
       (Claims.all o)
   end
 
@@ -287,7 +277,7 @@ let check_terminal ctx c tbl st stats rpath =
    one pass). POR then restricts the fired set to the interaction
    component with the fewest enabled processes (persistent set), and
    an [Idle] child is prepended while the clock is not steady. *)
-let candidates ctx c ~st ~stats ~t =
+let candidates ctx ~st ~stats ~t =
   let hinted =
     List.filter
       (fun p ->
@@ -300,7 +290,7 @@ let candidates ctx c ~st ~stats ~t =
       (fun p ->
         let st', stats', fired = derive ~fp:ctx.fp st stats (Step p) in
         if fired then begin
-          c.c_replayed_steps <- c.c_replayed_steps + 1;
+          ctx.c.c_replayed_steps <- ctx.c.c_replayed_steps + 1;
           Some (p, st', stats')
         end
         else None)
@@ -327,8 +317,8 @@ let candidates ctx c ~st ~stats ~t =
           | None -> probes
           | Some (_, bc) -> List.filter (fun (p, _, _) -> comp p = bc) probes
         in
-        c.c_por_skips <-
-          c.c_por_skips + (List.length probes - List.length keep);
+        ctx.c.c_por_skips <-
+          ctx.c.c_por_skips + (List.length probes - List.length keep);
         keep
     | _ -> probes
   in
@@ -350,146 +340,94 @@ let candidates ctx c ~st ~stats ~t =
 (* A node: [rpath] is its move prefix, newest first; [segs] are its
    parent's fingerprint segments; [recheck] is false when its parent
    passed the safety check and [safety_unchanged] holds. *)
-let rec visit ctx c cache_tbl vt ~rpath ~st ~stats ~segs ~recheck ~t
-    ~remaining =
-  if ctx.stop_on_first && Hashtbl.length vt > 0 then ()
-  else
-    visit_live ctx c cache_tbl vt ~rpath ~st ~stats ~segs ~recheck ~t
-      ~remaining
-
-and visit_live ctx c cache_tbl vt ~rpath ~st ~stats ~segs ~recheck ~t
-    ~remaining =
-  c.c_nodes <- c.c_nodes + 1;
-  if t > c.c_max_depth then c.c_max_depth <- t;
-  let covered, segs =
-    if not ctx.cache then (false, Fingerprint.none)
-    else
-      let key, segs =
-        (* The steady-time cut is only sound without faults: with copies
-           in flight, states at the same cut differ by their pending
-           arrivals, which the fingerprint encodes relative to the
-           absolute clock — so the absolute clock keys the cache. *)
-        let cut =
-          if Channel_fault.is_none ctx.sc.Scenario.faults then
-            min t ctx.t_steady
-          else t
+let rec visit ctx ~rpath ~st ~stats ~segs ~recheck ~t ~remaining =
+  let c = ctx.c in
+  if not (ctx.stop_on_first && Hashtbl.length ctx.viols > 0) then begin
+    c.c_nodes <- c.c_nodes + 1;
+    if t > c.c_max_depth then c.c_max_depth <- t;
+    let covered, segs =
+      if not ctx.cache then (false, Fingerprint.none)
+      else
+        let key, segs =
+          (* The steady-time cut is only sound without faults: with
+             copies in flight, states at the same cut differ by their
+             pending arrivals, which the fingerprint encodes relative to
+             the absolute clock — so the absolute clock keys the
+             cache. *)
+          let cut =
+            if Channel_fault.is_none ctx.sc.Scenario.faults then
+              min t ctx.t_steady
+            else t
+          in
+          Fingerprint.of_state ~reuse:segs ~time:cut ~topo:ctx.topo
+            ~msgs:ctx.k st
         in
-        Fingerprint.of_state ~reuse:segs ~time:cut ~topo:ctx.topo ~msgs:ctx.k
-          st
-      in
-      (* Each state keeps the largest remaining depth explored from it:
-         a visit with no more budget than that explores nothing new. *)
-      match Hashtbl.find_opt cache_tbl key with
-      | Some r0 when r0 >= remaining ->
-          c.c_cache_hits <- c.c_cache_hits + 1;
-          (true, segs)
-      | _ ->
-          Hashtbl.replace cache_tbl key remaining;
-          (false, segs)
-  in
-  if not covered then begin
-    if recheck && check_safety vt (outcome_of ctx st stats ~snapshots:[]) rpath
+        (* Each state keeps the largest remaining depth explored from
+           it: a visit with no more budget than that explores nothing
+           new. *)
+        match Hashtbl.find_opt ctx.visited key with
+        | Some r0 when r0 >= remaining ->
+            c.c_cache_hits <- c.c_cache_hits + 1;
+            (true, segs)
+        | _ ->
+            Hashtbl.replace ctx.visited key remaining;
+            (false, segs)
+    in
+    if covered then ()
+    else if
+      recheck && check_safety ctx (outcome_of ctx st stats ~snapshots:[]) rpath
     then () (* violating subtree pruned *)
     else if remaining = 0 then c.c_truncated <- c.c_truncated + 1
     else
-      match candidates ctx c ~st ~stats ~t with
+      match candidates ctx ~st ~stats ~t with
       | [] ->
           c.c_terminals <- c.c_terminals + 1;
-          check_terminal ctx c vt st stats rpath
+          check_terminal ctx st stats rpath
       | children ->
           List.iter
             (fun (mv, st', stats') ->
               let recheck =
                 not (safety_unchanged ~parent:(st, stats) (st', stats'))
               in
-              visit ctx c cache_tbl vt ~rpath:(mv :: rpath) ~st:st'
-                ~stats:stats' ~segs ~recheck ~t:(t + 1)
-                ~remaining:(remaining - 1))
+              visit ctx ~rpath:(mv :: rpath) ~st:st' ~stats:stats' ~segs
+                ~recheck ~t:(t + 1) ~remaining:(remaining - 1))
             children
   end
-
-(* One root branch = one unit of [--jobs] fan-out. Fresh cache, fresh
-   counters, fresh violation table per branch — also under jobs = 1, so
-   reports are bit-identical across job counts. The branch inputs are
-   computed sequentially by [branch_inputs], so workers share nothing
-   mutable: the root has touched no log, so the branches share none
-   (Algorithm1.copy), and the root's consensus table, empty, is only
-   read until a branch's first proposal clones it. *)
-let explore_branch ctx ~depth (mv, st, stats, recheck) =
-  let c = fresh_acc () in
-  let vt = Hashtbl.create 16 in
-  let cache_tbl = Hashtbl.create 1024 in
-  visit ctx c cache_tbl vt ~rpath:[ mv ] ~st ~stats ~segs:Fingerprint.none
-    ~recheck ~t:1 ~remaining:(depth - 1);
-  (c, vt, if ctx.cache then Hashtbl.length cache_tbl else 0)
-
-let branch_inputs ~root children =
-  List.map
-    (fun (mv, st, stats) ->
-      (mv, st, stats, not (safety_unchanged ~parent:root (st, stats))))
-    children
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* One depth-first search from the root, which is fingerprinted, cached
+   and checked like any other node. *)
 let run ?(por = true) ?(cache = true) ?(claims = false) ?(stop_on_first = false)
-    ?(jobs = 1) ?depth sc =
+    ?depth sc =
   let ctx = make_ctx ~por ~cache ~claims ~stop_on_first sc in
   let depth =
     match depth with Some d -> max d 0 | None -> default_depth ctx.sc
   in
-  let rootc = fresh_acc () in
-  let viols = Hashtbl.create 16 in
-  let st0, stats0 = replay ctx in
-  rootc.c_nodes <- 1;
-  let o0 = outcome_of ctx st0 stats0 ~snapshots:[] in
-  let root_bad = check_safety viols o0 [] in
-  let results =
-    if root_bad then [||]
-    else if depth = 0 then begin
-      rootc.c_truncated <- 1;
-      [||]
-    end
-    else
-      match candidates ctx rootc ~st:st0 ~stats:stats0 ~t:0 with
-      | [] ->
-          rootc.c_terminals <- 1;
-          check_terminal ctx rootc viols st0 stats0 [];
-          [||]
-      | children ->
-          assert (List.is_empty (Algorithm1.log_keys st0));
-          let inputs = branch_inputs ~root:(st0, stats0) children in
-          Domain_pool.map ~jobs (List.length inputs) (fun i ->
-              explore_branch ctx ~depth (List.nth inputs i))
+  let st = initial_state ctx in
+  let stats, _ =
+    Engine.run_pinned ~fp:ctx.fp ~moves:[||] ~step:(Algorithm1.step st) ()
   in
-  (* Merge branch results in branch order: counters sum, violations
-     keep the shortest witness (ties: earliest branch). *)
-  Array.iter
-    (fun (_, vt, _) ->
-      Hashtbl.fold (fun _ v acc -> v :: acc) vt []
-      |> List.sort (fun a b -> String.compare a.property b.property)
-      |> List.iter (fun v -> record viols v.property v.detail v.witness))
-    results;
-  let accs = rootc :: List.map (fun (c, _, _) -> c) (Array.to_list results) in
-  let sum f = List.fold_left (fun acc c -> acc + f c) 0 accs in
+  visit ctx ~rpath:[] ~st ~stats ~segs:Fingerprint.none ~recheck:true ~t:0
+    ~remaining:depth;
+  let c = ctx.c in
   let counters =
     {
-      nodes = sum (fun c -> c.c_nodes);
-      terminals = sum (fun c -> c.c_terminals);
-      truncated = sum (fun c -> c.c_truncated);
-      cache_hits = sum (fun c -> c.c_cache_hits);
+      nodes = c.c_nodes;
+      terminals = c.c_terminals;
+      truncated = c.c_truncated;
+      cache_hits = c.c_cache_hits;
       sleep_skips = 0;
-      por_skips = sum (fun c -> c.c_por_skips);
-      replayed_steps = sum (fun c -> c.c_replayed_steps);
-      distinct_states =
-        Array.fold_left (fun acc (_, _, d) -> acc + d) 0 results;
-      max_depth =
-        List.fold_left (fun acc c -> max acc c.c_max_depth) 0 accs;
+      por_skips = c.c_por_skips;
+      replayed_steps = c.c_replayed_steps;
+      distinct_states = Hashtbl.length ctx.visited;
+      max_depth = c.c_max_depth;
     }
   in
   let violations =
-    Hashtbl.fold (fun _ v acc -> v :: acc) viols []
+    Hashtbl.fold (fun _ v acc -> v :: acc) ctx.viols []
     |> List.sort (fun a b -> String.compare a.property b.property)
   in
   {
@@ -499,21 +437,18 @@ let run ?(por = true) ?(cache = true) ?(claims = false) ?(stop_on_first = false)
     por = ctx.por;
     cache;
     claims;
-    jobs;
     counters;
     violations;
   }
 
-let min_witness ?(por = true) ?(cache = true) ?jobs ?max_depth sc =
+let min_witness ?(por = true) ?(cache = true) ?max_depth sc =
   let bound =
     match max_depth with Some d -> d | None -> default_depth sc
   in
   let rec go d =
     if d > bound then None
     else
-      let r =
-        run ~por ~cache ~claims:false ~stop_on_first:true ?jobs ~depth:d sc
-      in
+      let r = run ~por ~cache ~claims:false ~stop_on_first:true ~depth:d sc in
       match r.violations with [] -> go (d + 1) | _ -> Some r
   in
   go 1
@@ -585,10 +520,8 @@ let report_to_json r =
     (List.length r.scenario.Scenario.msgs)
     (variant_name r.scenario.Scenario.variant)
     r.scenario.Scenario.seed r.scenario.Scenario.max_delay;
-  add
-    "\"depth\":%d,\"t_steady\":%d,\"por\":%b,\"cache\":%b,\"claims\":%b,\
-     \"jobs\":%d,\n"
-    r.depth r.t_steady r.por r.cache r.claims r.jobs;
+  add "\"depth\":%d,\"t_steady\":%d,\"por\":%b,\"cache\":%b,\"claims\":%b,\n"
+    r.depth r.t_steady r.por r.cache r.claims;
   add
     "\"counters\":{\"nodes\":%d,\"terminals\":%d,\"truncated\":%d,\
      \"cache_hits\":%d,\"sleep_skips\":%d,\"por_skips\":%d,\

@@ -39,9 +39,12 @@
     run); [~claims:true] additionally re-replays each terminal with
     per-tick snapshots and checks Table 2 ({!Claims.all}).
 
-    Determinism: reports are bit-identical across [~jobs] values — the
-    root branches fan out over {!Domain_pool} with per-branch caches
-    and counters, merged in branch order. *)
+    Determinism: one depth-first search from the root, in a fixed child
+    order, with one visited cache and one violation table, on the
+    calling domain; the root is fingerprinted, cached and checked like
+    any other node, and the cache prunes a revisit from another root
+    branch as it prunes one from the same branch. Reports, counters
+    included, are a function of the configuration and the options. *)
 
 type move =
   | Step of int  (** schedule exactly this process for one tick *)
@@ -77,8 +80,7 @@ type counters = {
           per derived child) and by the [~claims] re-replays of
           terminals *)
   distinct_states : int;
-      (** fingerprints cached, summed per root branch; [0] with the
-          cache ablated *)
+      (** distinct fingerprints cached; [0] with the cache ablated *)
   max_depth : int;  (** deepest node visited *)
 }
 
@@ -89,7 +91,6 @@ type report = {
   por : bool;
   cache : bool;
   claims : bool;
-  jobs : int;
   counters : counters;
   violations : violation list;
       (** one per failing property, shortest witness first found at
@@ -137,7 +138,6 @@ val run :
   ?cache:bool ->
   ?claims:bool ->
   ?stop_on_first:bool ->
-  ?jobs:int ->
   ?depth:int ->
   Scenario.t ->
   report
@@ -146,26 +146,26 @@ val run :
     The scenario's own [schedule] field is ignored (exploration decides
     the schedule); the rest — topology, workload, crashes, variant,
     ablation, detector latency, seed — defines the configuration.
-    [~stop_on_first:true] makes each root branch stop expanding at its
-    own first recorded violation — counters then undercount, but the
-    report stays deterministic across [jobs] (the cutoff is per branch,
-    not global). Raises [Invalid_argument] on scenarios failing
-    {!Scenario.validate}. *)
+    [~stop_on_first:true] stops the whole search at the first node that
+    records a violation: the report holds that node's violations, whose
+    witness is the first in depth-first order rather than the shortest,
+    and the counters cover only the nodes visited up to it. Raises
+    [Invalid_argument] on scenarios failing {!Scenario.validate}. *)
 
 val min_witness :
   ?por:bool ->
   ?cache:bool ->
-  ?jobs:int ->
   ?max_depth:int ->
   Scenario.t ->
   report option
 (** Iterative deepening [depth = 1, 2, ...] up to [max_depth] (default
     {!default_depth}): the report of the first depth at which any
-    violation exists, i.e. minimal-length witnesses. Runs each sweep
-    with [~stop_on_first:true] — sound for minimality because at the
-    first violating depth [d] every witness has length exactly [d]
-    (shorter ones would have surfaced at an earlier sweep). [None] when
-    the configuration is clean up to the bound. *)
+    violation exists, i.e. a minimal-length witness. Runs each sweep
+    with [~stop_on_first:true], so the report holds the violations of
+    the first violating node that sweep finds — sound for minimality
+    because at the first violating depth [d] every witness has length
+    exactly [d] (shorter ones would have surfaced at an earlier sweep).
+    [None] when the configuration is clean up to the bound. *)
 
 val witness_scenario : Scenario.t -> move list -> Scenario.t
 (** The scenario re-running a witness: same configuration, schedule

@@ -1,6 +1,6 @@
 (* Systematic exploration (lib/explore): POR soundness at the engine
-   level, exhaustive verdicts on small configurations, ablation and
-   jobs invariance, and exhaustive re-verification of corpus findings
+   level, exhaustive verdicts on small configurations, identity under
+   the reductions, and exhaustive re-verification of corpus findings
    at minimal depth. *)
 
 let g = Pset.of_list
@@ -42,6 +42,17 @@ let config ?(crashes = []) ?(faults = Channel_fault.none)
     ~n:(Topology.n topo) groups
 
 let stubborn ~drop ~delay = { Channel_fault.drop; dup = 0; delay; stubborn = true }
+
+(* A report's violations as (property, detail, witness) triples. *)
+let violations_t = Alcotest.(list (triple string string string))
+
+let violations r =
+  List.map
+    (fun v ->
+      ( v.Explore.property,
+        v.Explore.detail,
+        Explore.moves_to_string v.Explore.witness ))
+    r.Explore.violations
 
 (* State, stats and fired flags of [moves] pinned from the initial
    state, which is built the way the explorer builds its root. *)
@@ -104,7 +115,7 @@ let commutation () =
    violation on any interleaving, and the default depth covers
    quiescence (no truncated leaves). *)
 let exhaustive_clean sc name () =
-  let r = Explore.run ~jobs:2 sc in
+  let r = Explore.run sc in
   Alcotest.(check (list string)) (name ^ " has no violation") []
     (Explore.failing_properties r);
   Alcotest.(check bool) (name ^ " reaches terminals") true
@@ -117,7 +128,7 @@ let exhaustive_clean sc name () =
    termination witness in milliseconds, and the witness replays into
    the same violation through the ordinary scenario runner. *)
 let rediscover_deadlock () =
-  match Explore.min_witness ~jobs:2 ~max_depth:12 always_gamma_sc with
+  match Explore.min_witness ~max_depth:12 always_gamma_sc with
   | None -> Alcotest.fail "deadlock not rediscovered"
   | Some r ->
       Alcotest.(check (list string))
@@ -142,28 +153,12 @@ let rediscover_deadlock () =
       | { Explore.violations = []; _ } -> ()
       | _ -> Alcotest.fail "a shallower witness exists")
 
-(* The reductions are sound: verdicts are identical with POR and the
-   fingerprint cache ablated, on a clean and on a violating config. *)
-let ablation_identity () =
-  List.iter
-    (fun (name, sc, depth) ->
-      let f ~por ~cache =
-        Explore.failing_properties (Explore.run ~por ~cache ?depth ~jobs:2 sc)
-      in
-      let full = f ~por:true ~cache:true in
-      Alcotest.(check (list string)) (name ^ ": -por") full (f ~por:false ~cache:true);
-      Alcotest.(check (list string)) (name ^ ": -cache") full (f ~por:true ~cache:false))
-    [
-      ("chain", chain_sc, None);
-      ("always-gamma", always_gamma_sc, Some 8);
-    ]
-
 (* POR actually reduces on multi-component topologies, and never grows
    the tree on connected ones, where persistent sets prune nothing and
    the visited cache must hit as often as without POR. *)
 let por_reduces () =
   let nodes ~por =
-    (Explore.run ~por ~jobs:2 disjoint_sc).Explore.counters.Explore.nodes
+    (Explore.run ~por disjoint_sc).Explore.counters.Explore.nodes
   in
   let with_por = nodes ~por:true and without = nodes ~por:false in
   Alcotest.(check bool)
@@ -186,20 +181,6 @@ let por_reduces () =
       ("chain-2-K2", config (Topology.chain ~groups:2) ~msgs:2);
       ("ring-3-K2 pairwise", config (Topology.ring ~groups:3) ~msgs:2
          ~variant:Algorithm1.Pairwise);
-    ]
-
-(* Reports are bit-identical across the worker-domain count. *)
-let jobs_identity () =
-  List.iter
-    (fun (name, sc, depth) ->
-      let r1 = Explore.run ?depth ~jobs:1 sc in
-      let r2 = Explore.run ?depth ~jobs:2 sc in
-      (* everything but the echoed jobs field must be bit-identical *)
-      Alcotest.(check bool) (name ^ ": identical reports") true
-        ({ r1 with Explore.jobs = 0 } = { r2 with Explore.jobs = 0 }))
-    [
-      ("disjoint", disjoint_sc, None);
-      ("always-gamma", always_gamma_sc, Some 9);
     ]
 
 (* Pinned witness schedules round-trip through the scenario codec,
@@ -278,7 +259,7 @@ let corpus_reverify () =
       match bound with
       | None -> ()
       | Some max_depth -> (
-          match Explore.min_witness ~jobs:2 ~max_depth s with
+          match Explore.min_witness ~max_depth s with
           | None -> Alcotest.failf "%s: violation not rediscovered" name
           | Some r ->
               Alcotest.(check bool)
@@ -305,6 +286,33 @@ let e2e_configs =
     ("figure1-K2", config Topology.figure1 ~msgs:2);
   ]
 
+(* The reductions are sound: the violations, each with its detail and
+   witness, are identical with POR and the fingerprint cache ablated,
+   on clean and violating configs. The search keeps one visited cache
+   from the root, so a state reached under a later root branch is
+   pruned as a revisit of one an earlier branch explored; the crash
+   config and always-γ at depth 8 have such states, and every config
+   here explores its cache-off tree in under a second. *)
+let ablation_identity () =
+  List.iter
+    (fun (name, sc, depth) ->
+      let f ~por ~cache = violations (Explore.run ~por ~cache ?depth sc) in
+      let full = f ~por:true ~cache:true in
+      Alcotest.check violations_t (name ^ ": -por") full
+        (f ~por:false ~cache:true);
+      Alcotest.check violations_t (name ^ ": -cache") full
+        (f ~por:true ~cache:false))
+    [
+      ("chain", chain_sc, None);
+      ("always-gamma", always_gamma_sc, Some 8);
+      ("ring-3-K1-crash-1@2", List.assoc "ring-3-K1-crash-1@2" e2e_configs, None);
+      ("chain-3-K1", List.assoc "chain-3-K1" e2e_configs, None);
+      ("ring-3-K2 pairwise", config (Topology.ring ~groups:3) ~msgs:2
+         ~variant:Algorithm1.Pairwise, Some 8);
+      ("chain-2-K1 faults", config (Topology.chain ~groups:2) ~msgs:1
+         ~faults:(stubborn ~drop:2000 ~delay:1), Some 10);
+    ]
+
 (* Exhaustive search of the eight end-to-end explore configs at
    default depth: under channel faults POR is off and the enablement
    hint decides which children are derived; without faults POR is on.
@@ -315,7 +323,10 @@ let e2e_configs =
    gave. Replayed steps pin that a child costs at most its one pinned
    action: replaying each fault config child's prefix from the initial
    state executed 9,960, 40,148 and 108,099. A change that alters the
-   search on purpose updates them and says why. *)
+   search on purpose updates them and says why. The counts are those of
+   one search with one visited cache from the root: a state that
+   several root branches reach is expanded once, and the root is a
+   distinct state too. *)
 let explore_under_faults () =
   List.iter2
     (fun (name, sc) (nodes, terminals, distinct, replayed) ->
@@ -336,21 +347,22 @@ let explore_under_faults () =
         ])
     e2e_configs
     [
-      (1170, 4, 488, 1162);
-      (3445, 24, 1584, 3421);
-      (9033, 4, 2807, 9005);
-      (305, 1, 126, 304);
-      (481, 24, 119, 473);
-      (609, 1, 252, 987);
-      (1145, 6, 494, 1144);
-      (11494, 72, 5273, 11493);
+      (1170, 4, 489, 1162);
+      (3445, 24, 1585, 3421);
+      (4669, 2, 1457, 4641);
+      (305, 1, 127, 304);
+      (324, 16, 63, 317);
+      (609, 1, 253, 987);
+      (1145, 6, 495, 1144);
+      (7652, 48, 3514, 7651);
     ]
 
 (* The lying-γ triangle: the minimal cyclic topology, one message per
    group, and a γ that outputs no family although none is faulty. The
    explorer finds the delivery cycle at depth 18 and not before; the
    witness replays into the same cycle through the ordinary runner,
-   and neither the reductions nor the job count change the report. *)
+   and POR does not change the report. The counts are those of one
+   search with one visited cache from the root. *)
 let lying_gamma_sc =
   Scenario.make ~ablation:Scenario.Lying_gamma ~max_delay:1
     ~msgs:[ (0, 0, 0); (1, 1, 0); (2, 2, 0) ]
@@ -361,20 +373,12 @@ let lying_gamma_witness = "0 2 2 0 0 0 0 0 1 1 1 1 1 1 2 2 2 2"
 
 let lying_gamma_ordering () =
   let r = Explore.run ~depth:18 lying_gamma_sc in
-  let found =
-    List.map
-      (fun v ->
-        (v.Explore.property, v.Explore.detail,
-         Explore.moves_to_string v.Explore.witness))
-      r.Explore.violations
-  in
-  Alcotest.(check (list (triple string string string)))
-    "depth 18: the ordering cycle"
+  Alcotest.check violations_t "depth 18: the ordering cycle"
     [
       ("ordering", "ordering: ↦ has the cycle m0 ↦ m1 ↦ m2", lying_gamma_witness);
     ]
-    found;
-  Alcotest.(check (list int)) "depth 18: nodes, distinct states" [ 27405; 12040 ]
+    (violations r);
+  Alcotest.(check (list int)) "depth 18: nodes, distinct states" [ 22008; 9530 ]
     [ r.Explore.counters.Explore.nodes; r.Explore.counters.Explore.distinct_states ];
   let v = List.hd r.Explore.violations in
   (match
@@ -385,20 +389,33 @@ let lying_gamma_ordering () =
   | Ok () -> Alcotest.fail "witness replay is ordered");
   let same label r' =
     Alcotest.(check bool) label true
-      ({ r' with Explore.por = r.Explore.por; jobs = r.Explore.jobs } = r)
+      ({ r' with Explore.por = r.Explore.por } = r)
   in
   same "POR off: same report" (Explore.run ~por:false ~depth:18 lying_gamma_sc);
-  same "jobs 2: same report" (Explore.run ~jobs:2 ~depth:18 lying_gamma_sc);
   let r17 = Explore.run ~depth:17 lying_gamma_sc in
   Alcotest.(check (list string)) "depth 17: no violation" []
     (Explore.failing_properties r17);
-  Alcotest.(check int) "depth 17: nodes" 22109 r17.Explore.counters.Explore.nodes
+  Alcotest.(check int) "depth 17: nodes" 17924 r17.Explore.counters.Explore.nodes;
+  (* Iterative deepening stops each sweep at its first violation, so
+     the depth-18 sweep finds the same witness in fewer nodes than the
+     exhaustive depth-18 search. *)
+  match Explore.min_witness ~max_depth:18 lying_gamma_sc with
+  | None -> Alcotest.fail "min_witness: no violation up to depth 18"
+  | Some m ->
+      Alcotest.(check int) "min_witness: depth" 18 m.Explore.depth;
+      Alcotest.check violations_t "min_witness: the ordering cycle"
+        (violations r) (violations m);
+      Alcotest.(check bool)
+        (Printf.sprintf "min_witness: fewer nodes than run ~depth:18 (%d < %d)"
+           m.Explore.counters.Explore.nodes r.Explore.counters.Explore.nodes)
+        true
+        (m.Explore.counters.Explore.nodes < r.Explore.counters.Explore.nodes)
 
 (* [~claims:true] re-replays each terminal with per-tick snapshots and
    checks Table 2 on it: it finds nothing on a clean and on a
    fault-injected config, and its counters are the claims-free run's
-   but for the re-replayed steps (one terminal of 14 moves, and four
-   of 80 moves in all). *)
+   but for the re-replayed steps (one terminal of 14 moves, and two of
+   40 moves in all). *)
 let claims_counters () =
   List.iter
     (fun (name, replayed) ->
@@ -414,7 +431,7 @@ let claims_counters () =
            Explore.replayed_steps = r.Explore.counters.Explore.replayed_steps;
          }
         = r.Explore.counters))
-    [ ("chain-3-K1", 304 + 14); ("disjoint-2x2-K2 faults", 9005 + 80) ]
+    [ ("chain-3-K1", 304 + 14); ("disjoint-2x2-K2 faults", 4641 + 40) ]
 
 (* ------------------------------------------------------------------ *)
 (* Derived children                                                    *)
@@ -854,7 +871,6 @@ let suite =
     t "deadlock rediscovered blind" `Quick rediscover_deadlock;
     t "por/cache ablation identity" `Quick ablation_identity;
     t "por reduces multi-component trees" `Quick por_reduces;
-    t "jobs invariance" `Quick jobs_identity;
     t "pinned codec round-trip" `Quick pinned_codec;
     t "corpus findings re-verified exhaustively" `Quick corpus_reverify;
     t "fault configs: pinned counts" `Quick explore_under_faults;
