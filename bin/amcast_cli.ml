@@ -577,6 +577,11 @@ let explore_cmd =
         "The configuration comes from $(b,--topology) and friends, or \
          from a scenario file via $(b,--replay) (its schedule line is \
          ignored; a pinned witness schedule bounds the deepening).";
+      `P
+        "$(b,--min-witness) and $(b,--replay) deepen one move at a time, \
+         each sweep from an empty visited cache. The counters they print \
+         are those of the violating sweep alone: the earlier sweeps' \
+         nodes are not counted.";
     ]
   in
   Cmd.v

@@ -3,11 +3,13 @@
 
     Claims 2–8 are laws of the log object. They are inductive, so one
     walk over consecutive snapshot pairs checks them all (see {!all}).
-    A log a tick left untouched costs one pointer comparison. A changed
-    log costs one pass per law plus a join by datum, which takes about
-    one extra pass per entry the tick bumped, and a sort if the list is
-    out of log order. Claims 9–15 are verified on the trace and the
-    final state. Run the outcome with [~record_snapshots:true]. *)
+    A log a tick left untouched costs one pointer comparison, and a log
+    the tick only appended to or locked in place costs two passes over
+    its lists. Any other changed log costs one pass per law plus a join
+    by datum, which takes about one extra pass per entry the tick
+    bumped, and a sort if the list is out of log order. Claims 9–15 are
+    verified on the trace and the final state. Run the outcome with
+    [~record_snapshots:true]. *)
 
 type verdict = (unit, string) result
 
@@ -49,10 +51,16 @@ val all : Runner.outcome -> (string * verdict) list
 
     Each of them reports the first failure met in pair order, then log
     key order, then its own entry order. A snapshot's keys are sorted
-    and only the first binding of a key counts. A log whose two lists
-    are physically equal, as {!Log.snapshot} returns for a log a tick
-    left untouched, is skipped. A changed log's entries are joined by
-    datum, and claims 6–8 compare ranks under [<_L] instead of scanning
-    entry pairs. The skip, the join and the ranks are exact when each
-    datum appears at most once per log, which is the only shape [Log]
-    produces; the lists need not be in log order. *)
+    and only the first binding of a key counts. A log whose newer list
+    extends the older one in place is skipped: the lists are physically
+    equal, as {!Log.snapshot} returns for a log a tick left untouched,
+    or entry [i] of the older list is entry [i] of the newer one with
+    the same datum and position, no entry locked in the older list is
+    unlocked in the newer one, any further entries follow, and the
+    newer list is in strict [<_L] order. An append of an absent datum
+    and a bump that only locks give that shape. Any other changed log's
+    entries are joined by datum, and claims 6–8 compare ranks under
+    [<_L] instead of scanning entry pairs. The skip, the join and the
+    ranks are exact when each datum appears at most once per log, which
+    is the only shape [Log] produces; the lists need not be in log
+    order. *)

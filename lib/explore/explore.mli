@@ -165,7 +165,13 @@ val min_witness :
     the first violating node that sweep finds — sound for minimality
     because at the first violating depth [d] every witness has length
     exactly [d] (shorter ones would have surfaced at an earlier sweep).
-    [None] when the configuration is clean up to the bound. *)
+    [None] when the configuration is clean up to the bound.
+
+    The report's counters are those of the violating sweep alone: every
+    sweep starts from an empty visited cache, and the earlier sweeps'
+    nodes are neither reused nor counted. The pairwise C4 deadlock's
+    re-verification reports 713,621 nodes, of the 7,683,653 its 32
+    sweeps explore. *)
 
 val witness_scenario : Scenario.t -> move list -> Scenario.t
 (** The scenario re-running a witness: same configuration, schedule

@@ -135,7 +135,11 @@ let accepts_good_run () =
    pin corners of the rank rules: a flip that only the datum tie-break
    decides, at equal positions, and a fresh datum that fails claim 7
    because the locked datum left the log, although it sits above the
-   locked datum's old position. *)
+   locked datum's old position. The rows from "append below a locked
+   datum" on sit at the edge of the walk's skip, a newer list that
+   extends the older one in place: each failing row keeps every old
+   entry's list place and breaks one condition of that rule, so it must
+   reach the join, and the two clean rows meet the rule. *)
 let detects_log_claims () =
   let m0 = Algorithm1.Msg 0 and p = Algorithm1.Pend (0, 0, 1) in
   let rows =
@@ -196,6 +200,44 @@ let detects_log_claims () =
           ("claim 5", "locked m0 moved");
           ("claim 7", "fresh (m0,g0,1) below locked m0");
         ] );
+      ( "append below a locked datum",
+        [ (m0, 2, true) ],
+        [ (m0, 2, true); (p, 1, false) ],
+        [
+          ("claim 7", "fresh (m0,g0,1) below locked m0");
+          ("claim 8", "locked m0 gained a predecessor");
+        ] );
+      ( "append below a locked datum by the tie-break",
+        [ (p, 1, true) ],
+        [ (p, 1, true); (m0, 1, false) ],
+        [
+          ("claim 7", "fresh m0 below locked (m0,g0,1)");
+          ("claim 8", "locked (m0,g0,1) gained a predecessor");
+        ] );
+      ( "unlock in place, then append",
+        [ (m0, 1, true) ],
+        [ (m0, 1, false); (p, 2, false) ],
+        [ ("claim 4", "m0 was unlocked") ] );
+      ( "locked datum moved in place, then append",
+        [ (m0, 1, true) ],
+        [ (m0, 2, true); (p, 3, false) ],
+        [ ("claim 5", "locked m0 moved") ] );
+      ( "position lowered in place, then append",
+        [ (m0, 2, false) ],
+        [ (m0, 1, false); (p, 3, false) ],
+        [ ("claim 3", "position of m0 decreased") ] );
+      ( "newer list shorter",
+        [ (m0, 1, false); (p, 2, false) ],
+        [ (m0, 1, false) ],
+        [ ("claim 2", "(m0,g0,1) vanished from a log") ] );
+      ( "lock in place, then append",
+        [ (m0, 1, false) ],
+        [ (m0, 1, true); (p, 2, false) ],
+        [] );
+      ( "append at a locked datum's position",
+        [ (m0, 1, true) ],
+        [ (m0, 1, true); (p, 1, false) ],
+        [] );
     ]
   in
   List.iter

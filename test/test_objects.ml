@@ -100,20 +100,54 @@ let log_index_matches_naive =
                naive)
         ops)
 
-(* Seeded random [append] / [bump_and_lock] sequences over data 0..8,
-   drawn as in the laws above: [k = 0] or an absent datum appends,
-   anything else bumps to [k]. [after_op] sees the log after each
-   operation. *)
+(* One operation as the laws above draw it: [k = 0] or an absent datum
+   appends, anything else bumps to [k]. *)
+let apply_op l (d, k) =
+  if k = 0 || not (Log.mem l d) then ignore (Log.append l d)
+  else Log.bump_and_lock l d k
+
+(* Seeded random [apply_op] sequences over data 0..8. [after_op] sees
+   the log after each operation. *)
 let random_log ?(after_op = ignore) seed =
   let rng = Rng.make seed in
   let l = Log.create ~compare:Int.compare in
   for _ = 1 to Rng.int rng 24 do
     let d = Rng.int rng 9 and k = Rng.int rng 11 in
-    (if k = 0 || not (Log.mem l d) then ignore (Log.append l d)
-     else Log.bump_and_lock l d k);
+    apply_op l (d, k);
     after_op l
   done;
   l
+
+(* The two shapes [Claims.all] skips without a join. Appending an
+   absent datum leaves the old snapshot an entry-for-entry prefix of
+   the new one; bumping an unlocked datum to [k <= pos] keeps every
+   datum and position and locks exactly that entry. Every snapshot is
+   in strict <_L order, positions first, then the datum order. *)
+let log_in_place_ops =
+  QCheck.Test.make ~name:"log appends and lock-only bumps extend in place"
+    ~count:200
+    QCheck.(small_list (pair (int_range 0 8) (int_range 0 10)))
+    (fun ops ->
+      let l = Log.create ~compare:Int.compare in
+      let rec strict = function
+        | (d, p, _) :: ((d', p', _) :: _ as rest) ->
+            (p < p' || (p = p' && d < d')) && strict rest
+        | _ -> true
+      in
+      List.for_all
+        (fun (d, k) ->
+          let old = Log.snapshot l in
+          let absent = not (Log.mem l d) in
+          let lock_only =
+            k > 0 && k <= Log.pos l d && not (Log.locked l d)
+          in
+          apply_op l (d, k);
+          let s = Log.snapshot l in
+          strict s
+          && ((not absent) || s = old @ [ (d, Log.pos l d, false) ])
+          && ((not lock_only)
+             || s = List.map (fun (d', p, lk) -> (d', p, lk || d' = d)) old))
+        ops)
 
 let log_snapshot () =
   for seed = 1 to 200 do
@@ -359,4 +393,4 @@ let suite =
     t "engine quiescence" `Quick engine_quiescence;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false)
-      [ log_laws; log_index_matches_naive; adopt_commit_laws ]
+      [ log_laws; log_index_matches_naive; log_in_place_ops; adopt_commit_laws ]
