@@ -464,8 +464,8 @@ let claims_arg =
     value & flag
     & info [ "claims" ]
         ~doc:
-          "Also check the Table 2 claims at every terminal state \
-           (re-replays each terminal with per-tick snapshots; slower).")
+          "Also check the Table 2 claims at every terminal state, on \
+           the per-tick log snapshots recorded along its path (slower).")
 
 let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")

@@ -45,9 +45,8 @@ type t = {
   logs : datum Log.t option array;
   owned : bool array;
   (* The shared lists L_g of the Prop. 1 reduction (append order,
-     newest first) and whether a message has been listed. *)
+     newest first). *)
   lists : int list array;
-  listed : bool array;
   (* Incremental view of m's Pend tuples in LOG_g — the groups covered
      and the highest recorded position. Tuples are only ever written by
      [try_pending], which keeps this cache exact, so the commit guard
@@ -61,11 +60,12 @@ type t = {
   h_key : (Topology.gid * Topology.gid list) list array;
   (* [stages.(stage_count * p + s)]: the messages at stage [s] of p (see
      [s_unlisted] .. [s_stable]), ascending. Each stage is the first
-     conjunct of one cascade level of [step], so a level walks only the
-     messages that pass it. A message moves only where the stepper
-     writes the state the stage is read from ([try_list], [try_send],
-     [set_phase]); it is in no stage of p once delivered there, nor
-     while unlisted at a member other than its source. *)
+     conjunct of one cascade level of [step]: a level walks only the
+     messages that pass it, and its action tests only the conjuncts
+     after it. A message moves only where the stepper writes the state
+     the stage stands for ([try_list], [try_send], [set_phase]); it is
+     in no stage of p once delivered there, nor while unlisted at a
+     member other than its source. *)
   stages : int list array;
   groups_of : Topology.gid list array;
   (* Channel faults (lib/net's Channel_fault) applied to the one piece
@@ -87,13 +87,12 @@ type t = {
   (* Commit rounds — the consensus invocations a networked backend
      would make, one per proposal. *)
   mutable rounds : int;
-  (* Membership caches for the two hottest [Log.mem] probes — a datum
-     key hashes a variant tuple, so the Hashtbl probe costs more than
-     the guard around it. [sent.(m)]: Msg m is in LOG_g (written only
-     by [try_send]); [stab_done.(pair st m h)]: Stab (m, h) is in LOG_g
-     (written only by [try_stabilize]), one row of [num_groups] flags
-     per message. Appends are irrevocable, so the caches are exact. *)
-  sent : bool array;
+  (* Membership cache for the hottest [Log.mem] probe — a datum key
+     hashes a variant tuple, so the Hashtbl probe costs more than the
+     guard around it. [stab_done.(pair st m h)]: Stab (m, h) is in
+     LOG_g (written only by [try_stabilize]), one row of [num_groups]
+     flags per message. Appends are irrevocable, so the cache is
+     exact. *)
   stab_done : bool array;
 }
 
@@ -215,7 +214,6 @@ let create ?(variant = Vanilla) ?(faults = Channel_fault.none) ?(fault_seed = 1)
     logs = Array.make (ng * ng) None;
     owned = Array.make (ng * ng) false;
     lists = Array.make ng [];
-    listed = Array.make k false;
     pend_hs = Array.make k [];
     pend_k = Array.make k 0;
     cons = Consensus_table.create ();
@@ -233,7 +231,6 @@ let create ?(variant = Vanilla) ?(faults = Channel_fault.none) ?(fault_seed = 1)
     events = [];
     seq = 0;
     rounds = 0;
-    sent = Array.make k false;
     stab_done = Array.make (k * ng) false;
   }
 
@@ -256,14 +253,12 @@ let copy st =
     logs = Array.copy st.logs;
     owned = Array.copy st.owned;
     lists = Array.copy st.lists;
-    listed = Array.copy st.listed;
     pend_hs = Array.copy st.pend_hs;
     pend_k = Array.copy st.pend_k;
     cons_owned = false;
     phase = Array.copy st.phase;
     stages = Array.copy st.stages;
     visible_at = Array.copy st.visible_at;
-    sent = Array.copy st.sent;
     stab_done = Array.copy st.stab_done;
   }
 
@@ -285,9 +280,10 @@ let set_phase st p m ph time =
 (* Whether every Msg entry strictly before [m] in the (g, h) log has
    rank at least [r] at [p]. One walk of the predecessors,
    short-circuiting at an entry below [r]. Every caller has [Msg m] in
-   the log — pending requires [sent], and stabilize and deliver follow
-   p's own pending, which appended m to each of p's pair logs — and
-   [Log.forall_before] raises [Invalid_argument] if one ever has not. *)
+   the log — pending walks the stage of messages in LOG_g, and
+   stabilize and deliver follow p's own pending, which appended m to
+   each of p's pair logs — and [Log.forall_before] raises
+   [Invalid_argument] if one ever has not. *)
 let prefix_at_rank st p g h m r =
   let phase = st.phase and row = cell st p 0 in
   Log.forall_before (log st g h) (Msg m) (function
@@ -340,13 +336,13 @@ let arrival_row st p = if Channel_fault.is_none st.faults then -1 else cell st p
 let arrived st row t m = row < 0 || t >= st.visible_at.(row + m)
 
 (* multicast(m), lines 5–7, sequenced through L_g (Prop. 1): the source
-   first publishes m in the shared list. *)
+   first publishes m in the shared list. Stage [s_unlisted]: p is m's
+   source and m is not in L_g. *)
 let try_list st p t m =
   let msg = st.msgs.(m) in
-  if msg.Amsg.src = p && t >= st.req_at.(m) && not st.listed.(m) then begin
+  if t >= st.req_at.(m) then begin
     let g = msg.Amsg.dst in
     st.lists.(g) <- m :: st.lists.(g);
-    st.listed.(m) <- true;
     leave st p m s_unlisted;
     Pset.iter
       (fun q -> enter st q m s_listed)
@@ -360,27 +356,22 @@ let try_list st p t m =
 (* A.multicast(m): append m to LOG_g once every message listed before m
    in L_g has been delivered locally (helping included — any member of
    g may perform the append, preserving the ≺ invariant because the
-   appender has delivered every predecessor). *)
+   appender has delivered every predecessor). Stage [s_listed]: m is in
+   L_g, not in LOG_g. *)
 let try_send st p t m =
-  let msg = st.msgs.(m) in
-  let g = msg.Amsg.dst in
-  st.listed.(m)
-  && (not st.sent.(m))
-  && begin
-       let older =
-         (* messages listed before m in L_g: the tail after m's
-            occurrence in the newest-first shared list *)
-         let rec after_m = function
-           | [] -> []
-           | x :: rest -> if x = m then rest else after_m rest
-         in
-         after_m st.lists.(g)
-       in
-       List.for_all (fun m' -> st.phase.(cell st p m') = Trace.Delivered) older
-     end
+  let g = st.msgs.(m).Amsg.dst in
+  let older =
+    (* messages listed before m in L_g: the tail after m's occurrence
+       in the newest-first shared list *)
+    let rec after_m = function
+      | [] -> []
+      | x :: rest -> if x = m then rest else after_m rest
+    in
+    after_m st.lists.(g)
+  in
+  List.for_all (fun m' -> st.phase.(cell st p m') = Trace.Delivered) older
   && begin
        ignore (append st g g (Msg m));
-       st.sent.(m) <- true;
        Pset.iter
          (fun q ->
            leave st q m s_listed;
@@ -390,12 +381,10 @@ let try_send st p t m =
        true
      end
 
-(* pending(m), lines 8–15. *)
+(* pending(m), lines 8–15. Stage [s_sent]: m is in LOG_g, Start at p. *)
 let try_pending st p t m =
   let g = st.msgs.(m).Amsg.dst in
-  st.phase.(cell st p m) = Trace.Start
-  && st.sent.(m)
-  && prefix_at_rank st p g g m (Trace.phase_rank Trace.Commit)
+  prefix_at_rank st p g g m (Trace.phase_rank Trace.Commit)
   && begin
        List.iter
          (fun h ->
@@ -412,11 +401,10 @@ let try_pending st p t m =
 (* commit(m), lines 16–24. The guard waits for a recorded (m, h, i)
    tuple from every γ-group and proposes the highest such position —
    both read from the exact [pend_hs]/[pend_k] cache instead of
-   scanning LOG_g. *)
+   scanning LOG_g. Stage [s_pending]: m is Pending at p. *)
 let try_commit st p t m =
   let g = st.msgs.(m).Amsg.dst in
-  st.phase.(cell st p m) = Trace.Pending
-  && List.for_all (fun h -> List.mem h st.pend_hs.(m)) (gamma_groups st p t g)
+  List.for_all (fun h -> List.mem h st.pend_hs.(m)) (gamma_groups st p t g)
   && begin
        let fam_key = List.assoc g st.h_key.(p) in
        st.rounds <- st.rounds + 1;
@@ -426,7 +414,7 @@ let try_commit st p t m =
        true
      end
 
-(* stabilize(m, h), lines 25–29.
+(* stabilize(m, h), lines 25–29. Stage [s_commit]: m is Commit at p.
 
    [step] skips [h = g]: a [Stab (m, g)] tuple has no reader in any
    variant — [try_stable]'s Vanilla arm ranges over the γ-groups (which
@@ -436,8 +424,7 @@ let try_commit st p t m =
 let try_stabilize st p t m h =
   let g = st.msgs.(m).Amsg.dst in
   ignore t;
-  st.phase.(cell st p m) = Trace.Commit
-  && (not st.stab_done.(pair st m h))
+  (not st.stab_done.(pair st m h))
   && prefix_at_rank st p g h m (Trace.phase_rank Trace.Stable)
   && begin
        ignore (append st g g (Stab (m, h)));
@@ -445,34 +432,33 @@ let try_stabilize st p t m h =
        true
      end
 
-(* stable(m), lines 30–33 (variant-dependent precondition, §6.1). *)
+(* stable(m), lines 30–33 (variant-dependent precondition, §6.1).
+   Stage [s_commit]: m is Commit at p. *)
 let try_stable st p t m =
   let g = st.msgs.(m).Amsg.dst in
   let has_stab h = st.stab_done.(pair st m h) in
-  st.phase.(cell st p m) = Trace.Commit
-  && (match st.variant with
-     | Vanilla -> List.for_all has_stab (gamma_groups st p t g)
-     | Pairwise -> true
-     | Strict ->
-         List.for_all
-           (fun h ->
-             h = g || not (Topology.intersecting st.topo g h)
-             || has_stab h
-             || st.mu.Mu.indicator g h p t = Some true)
-           (Topology.gids st.topo))
+  (match st.variant with
+  | Vanilla -> List.for_all has_stab (gamma_groups st p t g)
+  | Pairwise -> true
+  | Strict ->
+      List.for_all
+        (fun h ->
+          h = g || not (Topology.intersecting st.topo g h)
+          || has_stab h
+          || st.mu.Mu.indicator g h p t = Some true)
+        (Topology.gids st.topo))
   && begin
        set_phase st p m Trace.Stable t;
        true
      end
 
 (* deliver(m), lines 34–37: a conjunction of walks over p's pair
-   logs. *)
+   logs. Stage [s_stable]: m is Stable at p. *)
 let try_deliver st p t m =
   let g = st.msgs.(m).Amsg.dst in
-  st.phase.(cell st p m) = Trace.Stable
-  && List.for_all
-       (fun h -> prefix_at_rank st p g h m (Trace.phase_rank Trace.Delivered))
-       st.groups_of.(p)
+  List.for_all
+    (fun h -> prefix_at_rank st p g h m (Trace.phase_rank Trace.Delivered))
+    st.groups_of.(p)
   && begin
        set_phase st p m Trace.Delivered t;
        true
@@ -511,13 +497,14 @@ let enabled st ~pid:p ~time:t =
   holds_visible st (stage_count * p) (arrival_row st p) t s_unlisted
 
 (* The cascade of Algorithm 1's actions, latest stage first. Each level
-   walks the one stage its guard's first conjunct selects. The
-   visibility gate is part of the semantics: a member acts on m only
-   once its copy of the announcement has arrived. Fault-free runs never
-   test it ([arrival_row] is -1), keeping them bit-identical to the
-   pre-fault stepper. An unlisted message has no announcement yet and
-   is always visible (every guard sees it as absent anyway), so the
-   list level passes -1 too. *)
+   walks the one stage that stands for its guard's first conjunct, so
+   its action tests only the conjuncts after it. The visibility gate
+   is part of the semantics: a member acts on m only once its copy of
+   the announcement has arrived. Fault-free runs never test it
+   ([arrival_row] is -1), keeping them bit-identical to the pre-fault
+   stepper. An unlisted message has no announcement yet and is always
+   visible (every guard sees it as absent anyway), so the list level
+   passes -1 too. *)
 let step st ~pid:p ~time:t =
   let base = stage_count * p and row = arrival_row st p in
   let stages = st.stages in
@@ -560,7 +547,7 @@ let log_snapshot st (g, h) =
 
 let consensus_instances st = Consensus_table.instances st.cons
 
-let listed st ~m = st.listed.(m)
+let listed st ~m = List.mem m st.lists.(st.msgs.(m).Amsg.dst)
 let list_snapshot st g = st.lists.(g)
 
 let consensus_decisions st =
@@ -582,8 +569,10 @@ let channel_faults st = st.faults
 let link_stats st = st.links
 let visibility_horizon st = st.vis_horizon
 
+(* An unlisted message's arrival tick is still 0, so it reads
+   [`Visible]. *)
 let visibility st ~pid ~m ~time =
-  if Channel_fault.is_none st.faults || not st.listed.(m) then `Visible
+  if Channel_fault.is_none st.faults then `Visible
   else
     let v = st.visible_at.(cell st pid m) in
     if v = max_int then `Lost

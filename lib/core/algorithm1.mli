@@ -140,8 +140,8 @@ val consensus_rounds : t -> int
     networked backend would make, one per proposal in every mode. *)
 
 val listed : t -> m:int -> bool
-(** Whether the Prop. 1 [multicast] of message [m] has been invoked
-    (i.e. [m] entered the shared per-group list). *)
+(** Whether the Prop. 1 [multicast] of message [m] has been invoked:
+    whether [m] is in the shared list [L_g] of its destination. *)
 
 val list_snapshot : t -> Topology.gid -> int list
 (** Contents of the shared list [L_g], newest first. *)

@@ -23,6 +23,21 @@ let default_horizon workload fp =
 let snapshot_of st =
   List.map (fun key -> (key, Algorithm1.log_snapshot st key)) (Algorithm1.log_keys st)
 
+let outcome_of ~topo ~workload ~fp ~variant st stats ~snapshots =
+  {
+    topo;
+    workload;
+    fp;
+    variant;
+    trace = Algorithm1.trace st;
+    stats;
+    snapshots;
+    final_logs = snapshot_of st;
+    consensus_instances = Algorithm1.consensus_instances st;
+    consensus_rounds = Algorithm1.consensus_rounds st;
+    links = Algorithm1.link_stats st;
+  }
+
 let run ?(variant = Algorithm1.Vanilla) ?(seed = 1) ?horizon ?mu ?scheduled
     ?(batching = false) ?(faults = Channel_fault.none)
     ?(record_snapshots = false) ~topo ~fp ~workload () =
@@ -69,19 +84,8 @@ let run ?(variant = Algorithm1.Vanilla) ?(seed = 1) ?horizon ?mu ?scheduled
       ~enabled:(fun ~pid ~time -> Algorithm1.enabled st ~pid ~time)
       ~step:(Algorithm1.step st) ()
   in
-  {
-    topo;
-    workload;
-    fp;
-    variant;
-    trace = Algorithm1.trace st;
-    stats;
-    snapshots = List.rev !snapshots;
-    final_logs = snapshot_of st;
-    consensus_instances = Algorithm1.consensus_instances st;
-    consensus_rounds = Algorithm1.consensus_rounds st;
-    links = Algorithm1.link_stats st;
-  }
+  outcome_of ~topo ~workload ~fp ~variant st stats
+    ~snapshots:(List.rev !snapshots)
 
 let deliveries_complete outcome =
   let correct = Failure_pattern.correct outcome.fp in

@@ -26,6 +26,26 @@ type outcome = {
           spec ({!Channel_fault.stats_zero} for fault-free runs) *)
 }
 
+val snapshot_of : Algorithm1.t -> snapshot
+(** Every log of the state ({!Algorithm1.log_keys}) with its
+    {!Algorithm1.log_snapshot}. *)
+
+val outcome_of :
+  topo:Topology.t ->
+  workload:Workload.t ->
+  fp:Failure_pattern.t ->
+  variant:Algorithm1.variant ->
+  Algorithm1.t ->
+  Engine.stats ->
+  snapshots:(int * snapshot) list ->
+  outcome
+(** [outcome_of ~topo ~workload ~fp ~variant st stats ~snapshots]: the
+    outcome of a run of the configuration that left state [st] with
+    engine stats [stats] and recorded [snapshots] (oldest first): its
+    trace, {!snapshot_of} as [final_logs], its consensus counts and
+    link stats. {!run} returns it; the explorer builds one per checked
+    node. *)
+
 val default_horizon : Workload.t -> Failure_pattern.t -> int
 (** A horizon comfortably past every invocation and crash for the
     workload size ({!run} extends it for slow detectors). *)

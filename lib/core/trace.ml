@@ -29,7 +29,9 @@ type event =
    matching event" semantics (find_map over the list) is preserved by
    only recording the first occurrence; duplicate events (e.g. a
    double delivery that integrity must flag) still appear in the list
-   tables ([deliveries], [delivery_order], [phases]). The phase
+   tables ([deliveries], [delivery_order], [phases]). A seq table
+   holds [absent] where no event was recorded; [build] rejects a
+   negative seq, so no recorded seq reads as [absent]. The phase
    histories, a list per (p, m) cell that only claim 14 reads, are
    built on the first [phase_history] query. *)
 type index = {
@@ -38,14 +40,9 @@ type index = {
   deliveries : (int * int * int * int) list;
   delivery_order : int list array;  (* per p, delivered m's in order *)
   del_seq : int array;  (* np*mb: seq of the first delivery *)
-  del_present : Bytes.t;  (* np*mb: was (p, m) ever delivered *)
   first_del_seq : int array;  (* mb: seq of the earliest delivery *)
-  first_del_present : Bytes.t;
   inv_seq : int array;  (* mb: seq of the first Invoke *)
   inv_time : int array;  (* mb: tick of the first Invoke *)
-  inv_present : Bytes.t;
-  snd_seq : int array;  (* mb: seq of the first Send *)
-  snd_present : Bytes.t;
   invoked : int list;  (* invoked m's, in order *)
   mutable phases : phase list array option;
       (* np*mb: phase history, oldest first *)
@@ -55,30 +52,27 @@ type t = { events : event list; n : int; mutable index : index option }
 
 let make ~n events = { events; n; index = None }
 
-let pm = function
-  | Invoke { m; p; _ } -> (p, m)
-  | Send { m; p; _ } -> (p, m)
-  | Phase_change { m; p; _ } -> (p, m)
-  | Deliver { m; p; _ } -> (p, m)
+let absent = -1
+
+let ids = function
+  | Invoke { m; p; seq; _ } -> (p, m, seq)
+  | Send { m; p; seq; _ } -> (p, m, seq)
+  | Phase_change { m; p; seq; _ } -> (p, m, seq)
+  | Deliver { m; p; seq; _ } -> (p, m, seq)
 
 let build t =
   let np, mb =
     List.fold_left
       (fun (np, mb) ev ->
-        let p, m = pm ev in
+        let p, m, seq = ids ev in
+        if seq < 0 then invalid_arg "Trace: negative event seq";
         (max np (p + 1), max mb (m + 1)))
       (t.n, 0) t.events
   in
-  let cells = np * mb in
-  let del_seq = Array.make cells 0 in
-  let del_present = Bytes.make cells '\000' in
-  let first_del_seq = Array.make mb 0 in
-  let first_del_present = Bytes.make mb '\000' in
-  let inv_seq = Array.make mb 0 in
+  let del_seq = Array.make (np * mb) absent in
+  let first_del_seq = Array.make mb absent in
+  let inv_seq = Array.make mb absent in
   let inv_time = Array.make mb 0 in
-  let inv_present = Bytes.make mb '\000' in
-  let snd_seq = Array.make mb 0 in
-  let snd_present = Bytes.make mb '\000' in
   let delivery_order = Array.make np [] in
   let deliveries = ref [] in
   let invoked = ref [] in
@@ -86,28 +80,16 @@ let build t =
     (fun ev ->
       match ev with
       | Invoke { m; time; seq; _ } ->
-          if Bytes.get inv_present m = '\000' then begin
+          if inv_seq.(m) = absent then begin
             inv_seq.(m) <- seq;
-            inv_time.(m) <- time;
-            Bytes.set inv_present m '\001'
+            inv_time.(m) <- time
           end;
           invoked := m :: !invoked
-      | Send { m; seq; _ } ->
-          if Bytes.get snd_present m = '\000' then begin
-            snd_seq.(m) <- seq;
-            Bytes.set snd_present m '\001'
-          end
-      | Phase_change _ -> ()
+      | Send _ | Phase_change _ -> ()
       | Deliver { m; p; time; seq } ->
           let k = (p * mb) + m in
-          if Bytes.get del_present k = '\000' then begin
-            del_seq.(k) <- seq;
-            Bytes.set del_present k '\001'
-          end;
-          if Bytes.get first_del_present m = '\000' then begin
-            first_del_seq.(m) <- seq;
-            Bytes.set first_del_present m '\001'
-          end;
+          if del_seq.(k) = absent then del_seq.(k) <- seq;
+          if first_del_seq.(m) = absent then first_del_seq.(m) <- seq;
           deliveries := (p, m, time, seq) :: !deliveries;
           delivery_order.(p) <- m :: delivery_order.(p))
     t.events;
@@ -118,14 +100,9 @@ let build t =
     deliveries = List.rev !deliveries;
     delivery_order;
     del_seq;
-    del_present;
     first_del_seq;
-    first_del_present;
     inv_seq;
     inv_time;
-    inv_present;
-    snd_seq;
-    snd_present;
     invoked = List.rev !invoked;
     phases = None;
   }
@@ -177,36 +154,29 @@ let delivery_order t p =
 
 let in_cell ix ~p ~m = p >= 0 && p < ix.np && m >= 0 && m < ix.mb
 
+(* Entry [i] of a seq table, [None] for [absent]. *)
+let seq_at tbl i = if tbl.(i) = absent then None else Some tbl.(i)
+
 let delivered_at t ~p ~m =
   let ix = index t in
-  in_cell ix ~p ~m && Bytes.get ix.del_present ((p * ix.mb) + m) <> '\000'
+  in_cell ix ~p ~m && ix.del_seq.((p * ix.mb) + m) <> absent
 
 let delivery_seq t ~p ~m =
   let ix = index t in
-  if not (in_cell ix ~p ~m) then None
-  else
-    let k = (p * ix.mb) + m in
-    if Bytes.get ix.del_present k = '\000' then None else Some ix.del_seq.(k)
+  if not (in_cell ix ~p ~m) then None else seq_at ix.del_seq ((p * ix.mb) + m)
 
 let first_delivery_seq t ~m =
   let ix = index t in
-  if m < 0 || m >= ix.mb || Bytes.get ix.first_del_present m = '\000' then None
-  else Some ix.first_del_seq.(m)
+  if m < 0 || m >= ix.mb then None else seq_at ix.first_del_seq m
 
 let invoke_seq t ~m =
   let ix = index t in
-  if m < 0 || m >= ix.mb || Bytes.get ix.inv_present m = '\000' then None
-  else Some ix.inv_seq.(m)
+  if m < 0 || m >= ix.mb then None else seq_at ix.inv_seq m
 
 let invoke_time t ~m =
   let ix = index t in
-  if m < 0 || m >= ix.mb || Bytes.get ix.inv_present m = '\000' then None
+  if m < 0 || m >= ix.mb || ix.inv_seq.(m) = absent then None
   else Some ix.inv_time.(m)
-
-let send_seq t ~m =
-  let ix = index t in
-  if m < 0 || m >= ix.mb || Bytes.get ix.snd_present m = '\000' then None
-  else Some ix.snd_seq.(m)
 
 let invoked t = (index t).invoked
 

@@ -22,12 +22,12 @@ type event =
 
 type index
 (** Lazily-built lookup tables over the event list: per-[(p, m)]
-    delivery seq/presence keyed by flat [p*M + m] ints, per-process
-    delivery orders, per-message invoke/send/first-delivery seqs, the
-    invoked-message list and, from the first {!phase_history} query
-    on, phase histories. Derived purely from [events], so it never
-    changes an answer — it only replaces the per-query O(|events|)
-    scans with O(1) lookups. *)
+    delivery seqs keyed by flat [p*M + m] ints, per-process delivery
+    orders, per-message invoke/first-delivery seqs, the invoked-message
+    list and, from the first {!phase_history} query on, phase
+    histories. Derived purely from [events], so it never changes an
+    answer — it only replaces the per-query O(|events|) scans with O(1)
+    lookups. *)
 
 type t = {
   events : event list;  (** in execution (sequence) order *)
@@ -39,7 +39,9 @@ type t = {
 val make : n:int -> event list -> t
 (** A trace over [events] (execution order) with an unbuilt index.
     Event process/message ids must be non-negative (they are array
-    indices in the lookup tables). *)
+    indices in the lookup tables), and so must sequence numbers: the
+    first query that builds the index raises [Invalid_argument] on a
+    negative seq. *)
 
 val pp_event : Format.formatter -> event -> unit
 
@@ -63,7 +65,6 @@ val invoke_time : t -> m:int -> int option
 (** Tick of the first [Invoke] of [m], if any — the start of the
     message's latency interval (see [Amcast_loadgen.Latency]). *)
 
-val send_seq : t -> m:int -> int option
 val invoked : t -> int list
 (** Ids of messages whose [multicast] was invoked, in order. *)
 

@@ -82,18 +82,17 @@ let make_probe topo mu fam pi =
     sent = Hashtbl.create 8;
   }
 
-let create ?(seed = 11) ?(failure_prone = fun _ -> true) ~topo ~fp () =
+let create ?(seed = 11) ~topo ~fp () =
   let families = Topology.cyclic_families topo in
   let mu = Mu.make ~seed topo fp in
   let probes =
     List.concat_map
       (fun fam ->
+        (* Every intersection may fail, so every rooted path of the
+           family is probed. *)
         let rooted =
           List.concat_map
-            (fun c ->
-              List.map (fun g -> Topology.cpath_rotate_to c g) fam
-              |> List.filter (fun pi ->
-                     failure_prone (Topology.inter topo pi.(0) pi.(1))))
+            (fun c -> List.map (fun g -> Topology.cpath_rotate_to c g) fam)
             (Topology.cpaths topo fam)
         in
         List.map (make_probe topo mu fam) rooted)

@@ -146,9 +146,6 @@ let make_ctx ~por ~cache ~claims ~stop_on_first sc =
     viols = Hashtbl.create 16;
   }
 
-let moves_array moves =
-  Array.of_list (List.map (function Step p -> Some p | Idle -> None) moves)
-
 let initial_state ctx =
   Algorithm1.create ~variant:ctx.sc.Scenario.variant
     ~faults:ctx.sc.Scenario.faults ~fault_seed:ctx.sc.Scenario.seed
@@ -175,26 +172,6 @@ let derive ~fp st (stats : Engine.stats) mv =
   let executed = stats.Engine.executed + Bool.to_int fired in
   (st, { stats with Engine.steps; executed; ticks_used = t + 1 }, fired)
 
-let snapshot_of st =
-  List.map
-    (fun key -> (key, Algorithm1.log_snapshot st key))
-    (Algorithm1.log_keys st)
-
-let outcome_of ctx st (stats : Engine.stats) ~snapshots =
-  {
-    Runner.topo = ctx.topo;
-    workload = ctx.workload;
-    fp = ctx.fp;
-    variant = ctx.sc.Scenario.variant;
-    trace = Algorithm1.trace st;
-    stats;
-    snapshots;
-    final_logs = snapshot_of st;
-    consensus_instances = Algorithm1.consensus_instances st;
-    consensus_rounds = Algorithm1.consensus_rounds st;
-    links = Algorithm1.link_stats st;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Violation bookkeeping                                               *)
 (* ------------------------------------------------------------------ *)
@@ -210,7 +187,11 @@ let record ctx property detail witness =
    violates (the subtree is then pruned: violations are monotone,
    deeper nodes only repeat them). [rpath] is the node's move prefix,
    newest first. *)
-let check_safety ctx o rpath =
+let check_safety ctx st stats rpath =
+  let o =
+    Runner.outcome_of ~topo:ctx.topo ~workload:ctx.workload ~fp:ctx.fp
+      ~variant:ctx.sc.Scenario.variant st stats ~snapshots:[]
+  in
   List.fold_left
     (fun bad (name, verdict) ->
       match verdict with
@@ -241,31 +222,26 @@ let safety_unchanged ~parent:(st, (stats : Engine.stats))
 
 (* Terminal nodes: no process can act and the clock is steady — a
    completed run or a genuine deadlock. Termination becomes meaningful
-   here; with [claims] the prefix is re-replayed with per-tick
-   snapshots for the Table 2 invariants. *)
-let check_terminal ctx st stats rpath =
+   here; with [claims] the Table 2 invariants are checked on the
+   per-tick snapshots carried down the path ([rsnaps], newest first:
+   the snapshot at tick [t] is that of the state the move at [t]
+   started from). *)
+let check_terminal ctx st stats rpath ~rsnaps =
   let path = List.rev rpath in
-  let o = outcome_of ctx st stats ~snapshots:[] in
+  let o =
+    Runner.outcome_of ~topo:ctx.topo ~workload:ctx.workload ~fp:ctx.fp
+      ~variant:ctx.sc.Scenario.variant st stats ~snapshots:(List.rev rsnaps)
+  in
   (match Properties.termination o with
   | Ok () -> ()
   | Error e -> record ctx "termination" e path);
-  if ctx.claims then begin
-    let st' = initial_state ctx in
-    let snaps = ref [] in
-    let on_tick t = snaps := (t, snapshot_of st') :: !snaps in
-    let stats', _ =
-      Engine.run_pinned ~fp:ctx.fp ~on_tick ~moves:(moves_array path)
-        ~step:(Algorithm1.step st') ()
-    in
-    ctx.c.c_replayed_steps <- ctx.c.c_replayed_steps + stats'.Engine.executed;
-    let o = outcome_of ctx st' stats' ~snapshots:(List.rev !snaps) in
+  if ctx.claims then
     List.iter
       (fun (name, verdict) ->
         match verdict with
         | Ok () -> ()
         | Error e -> record ctx name e path)
       (Claims.all o)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Node expansion                                                      *)
@@ -337,11 +313,13 @@ let candidates ctx ~st ~stats ~t =
 (* DFS                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* A node: [rpath] is its move prefix, newest first; [segs] are its
-   parent's fingerprint segments; [recheck] is false when its parent
-   passed the safety check and [safety_unchanged] holds. *)
-let rec visit ctx ~rpath ~st ~stats ~segs ~recheck ~t ~remaining =
-  let c = ctx.c in
+(* A node: [rpath] is its move prefix, newest first; [rsnaps] the
+   snapshots of the states along it, newest first, under [claims] only;
+   [segs] are its parent's fingerprint segments; [recheck] is false
+   when its parent passed the safety check and [safety_unchanged]
+   holds. *)
+let rec visit ctx ~rpath ~rsnaps ~st ~stats ~segs ~recheck ~remaining =
+  let c = ctx.c and t = stats.Engine.ticks_used in
   if not (ctx.stop_on_first && Hashtbl.length ctx.viols > 0) then begin
     c.c_nodes <- c.c_nodes + 1;
     if t > c.c_max_depth then c.c_max_depth <- t;
@@ -375,22 +353,25 @@ let rec visit ctx ~rpath ~st ~stats ~segs ~recheck ~t ~remaining =
     in
     if covered then ()
     else if
-      recheck && check_safety ctx (outcome_of ctx st stats ~snapshots:[]) rpath
+      recheck && check_safety ctx st stats rpath
     then () (* violating subtree pruned *)
     else if remaining = 0 then c.c_truncated <- c.c_truncated + 1
     else
       match candidates ctx ~st ~stats ~t with
       | [] ->
           c.c_terminals <- c.c_terminals + 1;
-          check_terminal ctx st stats rpath
+          check_terminal ctx st stats rpath ~rsnaps
       | children ->
+          let rsnaps =
+            if ctx.claims then (t, Runner.snapshot_of st) :: rsnaps else rsnaps
+          in
           List.iter
             (fun (mv, st', stats') ->
               let recheck =
                 not (safety_unchanged ~parent:(st, stats) (st', stats'))
               in
-              visit ctx ~rpath:(mv :: rpath) ~st:st' ~stats:stats' ~segs
-                ~recheck ~t:(t + 1) ~remaining:(remaining - 1))
+              visit ctx ~rpath:(mv :: rpath) ~rsnaps ~st:st' ~stats:stats'
+                ~segs ~recheck ~remaining:(remaining - 1))
             children
   end
 
@@ -406,12 +387,16 @@ let run ?(por = true) ?(cache = true) ?(claims = false) ?(stop_on_first = false)
   let depth =
     match depth with Some d -> max d 0 | None -> default_depth ctx.sc
   in
-  let st = initial_state ctx in
-  let stats, _ =
-    Engine.run_pinned ~fp:ctx.fp ~moves:[||] ~step:(Algorithm1.step st) ()
+  let stats =
+    {
+      Engine.steps = Array.make ctx.n 0;
+      executed = 0;
+      ticks_used = 0;
+      quiescent = false;
+    }
   in
-  visit ctx ~rpath:[] ~st ~stats ~segs:Fingerprint.none ~recheck:true ~t:0
-    ~remaining:depth;
+  visit ctx ~rpath:[] ~rsnaps:[] ~st:(initial_state ctx) ~stats
+    ~segs:Fingerprint.none ~recheck:true ~remaining:depth;
   let c = ctx.c in
   let counters =
     {

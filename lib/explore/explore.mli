@@ -36,8 +36,10 @@
     nothing the properties read ({!safety_unchanged}); the verdicts of
     such a node are its parent's. Termination is evaluated at terminal nodes (no process
     can act and [t >= t_steady] — a genuine deadlock or a completed
-    run); [~claims:true] additionally re-replays each terminal with
-    per-tick snapshots and checks Table 2 ({!Claims.all}).
+    run); [~claims:true] additionally checks Table 2 ({!Claims.all})
+    there, on the per-tick log snapshots of the states along the
+    terminal's path, which the search records as it descends (the
+    snapshots {!Runner.run} records for the pinned schedule).
 
     Determinism: one depth-first search from the root, in a fixed child
     order, with one visited cache and one violation table, on the
@@ -77,8 +79,7 @@ type counters = {
   por_skips : int;  (** enabled moves outside the persistent set *)
   replayed_steps : int;
       (** protocol actions executed by child derivations (at most one
-          per derived child) and by the [~claims] re-replays of
-          terminals *)
+          per derived child); [~claims] adds none *)
   distinct_states : int;
       (** distinct fingerprints cached; [0] with the cache ablated *)
   max_depth : int;  (** deepest node visited *)

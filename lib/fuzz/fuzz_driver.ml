@@ -13,11 +13,13 @@ let scenario_of_trial ~seed cfg i =
   Scenario_gen.scenario (Choice.of_rng (Rng.make ((seed * 1_000_003) + i))) cfg
 
 (* Trial outcomes are pure functions of (seed, cfg, i); minimization is
-   a pure function of the violating scenario. The parallel paths below
-   therefore only have to get the *selection* right — earliest index
-   wins, results assembled in index order — for reports to come out
-   bit-identical to the sequential run. Minimization always happens in
-   the calling domain, on the selected violations only. *)
+   a pure function of the violating scenario. The pool gets the
+   *selection* right — earliest index wins, results assembled in index
+   order — so reports come out the same for every [jobs], and at
+   [jobs <= 1] it runs the trials in order on the calling domain,
+   generating nothing past the first violation under [stop_at_first].
+   Minimization always happens in the calling domain, on the selected
+   violations only. *)
 
 let check_trial ~seed ~on_trial cfg i =
   let s = scenario_of_trial ~seed cfg i in
@@ -31,23 +33,7 @@ let violation_of ~minimize i (s, failure) =
 let fuzz ?(minimize = true) ?(stop_at_first = true)
     ?(on_trial = fun _ _ -> ()) ?(jobs = 1) ~trials ~seed cfg =
   let mk = violation_of ~minimize in
-  if jobs <= 1 then
-    (* The sequential reference: trials are generated and checked in
-       order, and nothing past the first violation is even generated
-       when [stop_at_first]. *)
-    let rec loop i acc =
-      if i >= trials then { trials; violations = List.rev acc }
-      else
-        match check_trial ~seed ~on_trial cfg i with
-        | None -> loop (i + 1) acc
-        | Some witness ->
-            let v = mk i witness in
-            if stop_at_first then
-              { trials = i + 1; violations = List.rev (v :: acc) }
-            else loop (i + 1) (v :: acc)
-    in
-    loop 0 []
-  else if stop_at_first then
+  if stop_at_first then
     match
       Domain_pool.find_first ~jobs trials (check_trial ~seed ~on_trial cfg)
     with

@@ -32,9 +32,10 @@ val fuzz :
     violation; with [minimize] (default [true]) each collected
     violation is run through {!Shrinker.minimize}.
 
-    [jobs] (default [1]) farms the trials over a {!Domain_pool}. The
-    report is bit-identical to the sequential run for every [jobs]:
-    violations are listed in trial order, [stop_at_first] selects the
+    [jobs] (default [1]) farms the trials over a {!Domain_pool}; at
+    [jobs <= 1] the pool runs them in trial order on the calling
+    domain. The report is bit-identical for every [jobs]: violations
+    are listed in trial order, [stop_at_first] selects the
     earliest-index violation (later in-flight trials are discarded and
     pending ones cancelled), and minimization runs in the calling
     domain on the selected violations only. The only observable

@@ -18,7 +18,7 @@ type 'a t
 val create : compare:('a -> 'a -> int) -> 'a t
 (** [compare] is the a-priori total order used for slot-sharing ties.
     It must be a {e total} order: distinct data never compare equal
-    (the incremental sorted index identifies data through it). *)
+    (the incremental descending index identifies data through it). *)
 
 val append : 'a t -> 'a -> int
 (** Insert at the head slot and return the datum's position. Does
@@ -36,24 +36,24 @@ val bump_and_lock : 'a t -> 'a -> int -> unit
 val locked : 'a t -> 'a -> bool
 
 val head : 'a t -> int
-(** The first free slot after which only free slots remain. *)
+(** The first free slot after which only free slots remain: the
+    highest entry's position plus one, [1] for an empty log. *)
 
 val lt : 'a t -> 'a -> 'a -> bool
 (** [lt log d d']: the order [d <_L d'] (both data must be present). *)
 
 val entries : 'a t -> 'a list
-(** All data in log order (increasing [<_L]). Amortized O(1): the
-    sorted index is maintained incrementally across [append] and
-    [bump_and_lock], and only rebuilt (one list reversal) on the first
-    read after a mutation. *)
+(** All data in log order (increasing [<_L]): the data of
+    {!snapshot}. *)
 
 val snapshot : 'a t -> ('a * int * bool) list
 (** Every datum with its position and lock, in log order: [entries]
-    paired with [pos] and [locked], read off the sorted index without a
-    table lookup per datum. The list is built once and returned again,
-    physically equal, until the next [append] of an absent datum or
-    [bump_and_lock] of an unlocked one (a lock-only bump counts), so
-    successive snapshots of an untouched log share one list. *)
+    paired with [pos] and [locked], built in one reversal of the
+    descending index without a table lookup per datum. The list is
+    built once and returned again, physically equal, until the next
+    [append] of an absent datum or [bump_and_lock] of an unlocked one
+    (a lock-only bump counts), so successive snapshots of an untouched
+    log share one list. *)
 
 val copy : 'a t -> 'a t
 (** An independent log with the same entries, positions and locks:
@@ -61,32 +61,16 @@ val copy : 'a t -> 'a t
     starts from the original's snapshot list; a mutation of either
     gives that one a fresh list. *)
 
-val before : 'a t -> 'a -> 'a list
-(** All data strictly smaller than the given datum (which must be
-    present) in the log order. O(predecessors). *)
-
-val fold_before : 'a t -> 'a -> ('b -> 'a -> 'b) -> 'b -> 'b
-(** [fold_before log d f init]: fold [f] over the strict predecessors
-    of [d] in ascending log order, without materialising a list — the
-    allocation-free [before] for hot loops. Raises [Invalid_argument]
-    if [d] is absent. *)
-
 val forall_before : 'a t -> 'a -> ('a -> bool) -> bool
 (** [forall_before log d check]: does [check] hold on every strict
     predecessor of [d]? The guard walk: it visits the predecessors in
-    descending log order, so it never rebuilds the ascending view, and
+    descending log order, so it never builds the ascending view, and
     short-circuits at the first failure. [check] must be pure. Raises
     [Invalid_argument] if [d] is absent. *)
 
 val first_before : 'a t -> 'a -> ('a -> bool) -> 'a option
 (** [first_before log d pred]: the first (smallest in log order) strict
-    predecessor of [d] satisfying [pred], if any. It walks the
-    ascending view and stops at that entry: the witness-returning
+    predecessor of [d] satisfying [pred], if any. It walks
+    {!snapshot} and stops at that entry: the witness-returning
     counterpart of {!forall_before}, naming the lowest entry that keeps
     a guard walk false. Raises [Invalid_argument] if [d] is absent. *)
-
-val fold_entries : 'a t -> ('b -> 'a -> 'b) -> 'b -> 'b
-(** Fold over all entries in ascending log order (allocation-free
-    [entries] for hot loops). *)
-
-val length : 'a t -> int

@@ -97,11 +97,9 @@ let run ~fp ~horizon ?(quiesce_after = 0) ?(live_until = fun () -> 0)
    the shuffle of a singleton (or empty) scheduled set is
    order-trivial, so the engine's default seed serves every run. The
    explorer (lib/explore) derives each child from a copy of its
-   parent plus the one tick this function would run; it re-replays
-   [--claims] terminals through this entry point, and its tests take
-   it as the reference for derived children. *)
-let run_pinned ~fp ?(on_tick = fun (_ : int) -> ())
-    ~(moves : int option array) ~step () =
+   parent plus the one tick this function would run, and its tests
+   take this function as the reference for derived children. *)
+let run_pinned ~fp ~(moves : int option array) ~step () =
   let d = Array.length moves in
   let fired = Array.make (max d 1) false in
   let scheduled t =
@@ -114,6 +112,6 @@ let run_pinned ~fp ?(on_tick = fun (_ : int) -> ())
     r
   in
   let stats =
-    run ~fp ~horizon:(d - 1) ~quiesce_after:d ~scheduled ~on_tick ~step ()
+    run ~fp ~horizon:(d - 1) ~quiesce_after:d ~scheduled ~step ()
   in
   (stats, Array.sub fired 0 d)

@@ -60,7 +60,6 @@ val run :
 
 val run_pinned :
   fp:Failure_pattern.t ->
-  ?on_tick:(int -> unit) ->
   moves:int option array ->
   step:(pid:int -> time:int -> bool) ->
   unit ->
@@ -75,6 +74,5 @@ val run_pinned :
     and its result alone decides the flag. Pinned runs take no seed: a
     scheduled set of at most one element leaves nothing for the
     per-tick shuffle to permute. This is the reference replay of the
-    systematic explorer (lib/explore): its [~claims] terminals are
-    re-replayed through it, and a derived child must equal the pinned
-    run of its prefix. *)
+    systematic explorer (lib/explore): a derived child must equal the
+    pinned run of its prefix. *)

@@ -54,11 +54,41 @@ let trace_accessors () =
   Alcotest.(check (option int)) "delivery seq" (Some 3) (Trace.delivery_seq tr ~p:1 ~m:0);
   Alcotest.(check (option int)) "first delivery" (Some 3) (Trace.first_delivery_seq tr ~m:0);
   Alcotest.(check (option int)) "invoke seq" (Some 0) (Trace.invoke_seq tr ~m:0);
-  Alcotest.(check (option int)) "send seq" (Some 1) (Trace.send_seq tr ~m:0);
   Alcotest.(check (list int)) "invoked" [ 0 ] (Trace.invoked tr);
   Alcotest.(check int) "phase history length" 2
     (List.length (Trace.phase_history tr ~p:1 ~m:0));
   Alcotest.(check int) "deliveries" 3 (List.length (Trace.deliveries tr))
+
+(* Seqs are non-negative, so the index's -1 for "absent" never stands
+   for a recorded event: a negative seq fails the first query, and an
+   event at seq 0 is found by every table. *)
+let trace_seq_contract () =
+  let bad =
+    Trace.make ~n:1
+      [
+        Trace.Invoke { m = 0; p = 0; time = 0; seq = 0 };
+        Trace.Deliver { m = 0; p = 0; time = 1; seq = -1 };
+      ]
+  in
+  Alcotest.check_raises "negative seq"
+    (Invalid_argument "Trace: negative event seq") (fun () ->
+      ignore (Trace.delivered_at bad ~p:0 ~m:0));
+  let tr =
+    Trace.make ~n:1
+      [
+        Trace.Deliver { m = 0; p = 0; time = 0; seq = 0 };
+        Trace.Invoke { m = 1; p = 0; time = 0; seq = 0 };
+      ]
+  in
+  Alcotest.(check bool) "delivered at seq 0" true (Trace.delivered_at tr ~p:0 ~m:0);
+  Alcotest.(check (option int)) "delivery seq 0" (Some 0) (Trace.delivery_seq tr ~p:0 ~m:0);
+  Alcotest.(check (option int)) "first delivery seq 0" (Some 0)
+    (Trace.first_delivery_seq tr ~m:0);
+  Alcotest.(check (option int)) "invoke seq 0" (Some 0) (Trace.invoke_seq tr ~m:1);
+  Alcotest.(check (option int)) "invoke time" (Some 0) (Trace.invoke_time tr ~m:1);
+  Alcotest.(check (option int)) "no invoke of m0" None (Trace.invoke_seq tr ~m:0);
+  Alcotest.(check (option int)) "no delivery of m1" None
+    (Trace.delivery_seq tr ~p:0 ~m:1)
 
 let phase_order () =
   let open Trace in
@@ -103,6 +133,7 @@ let suite =
     t "amsg closed model" `Quick amsg_closed_model;
     t "workload generators" `Quick workload_generators;
     t "trace accessors" `Quick trace_accessors;
+    t "trace seqs: negative rejected, 0 found" `Quick trace_seq_contract;
     t "phase order" `Quick phase_order;
     t "rng determinism" `Quick rng_determinism;
   ]

@@ -11,8 +11,7 @@ let log_basics () =
   Alcotest.(check int) "pos absent" 0 (Log.pos l 99);
   Alcotest.(check bool) "mem" true (Log.mem l 10);
   Alcotest.(check bool) "order" true (Log.lt l 10 20);
-  Alcotest.(check (list int)) "entries" [ 10; 20 ] (Log.entries l);
-  Alcotest.(check (list int)) "before" [ 10 ] (Log.before l 20)
+  Alcotest.(check (list int)) "entries" [ 10; 20 ] (Log.entries l)
 
 let log_bump () =
   let l = Log.create ~compare:Int.compare in
@@ -63,9 +62,10 @@ let log_laws =
           ok_monotone && ok_lock && ok_presence)
         ops)
 
-(* The incremental sorted index stays equal to a from-scratch re-sort
-   after every operation, and the fold and walk views agree with the
-   lists. *)
+(* The incremental index stays equal to a from-scratch re-sort after
+   every operation: [entries] is the snapshot's data, [head] is one
+   past the largest position (1 for an empty log), and the walks agree
+   with the predecessor lists. *)
 let log_index_matches_naive =
   QCheck.Test.make ~name:"log incremental index = naive re-sort" ~count:200
     QCheck.(small_list (pair (int_range 0 8) (int_range 0 10)))
@@ -87,15 +87,14 @@ let log_index_matches_naive =
               !inserted
           in
           Log.entries l = naive
-          && Log.fold_entries l (fun acc x -> x :: acc) [] = List.rev naive
+          && Log.entries l = List.map (fun (d, _, _) -> d) (Log.snapshot l)
+          && Log.head l
+             = 1 + List.fold_left (fun acc d -> max acc (Log.pos l d)) 0 naive
           && List.for_all
                (fun d ->
-                 let before = Log.before l d in
+                 let before = List.filter (fun d' -> Log.lt l d' d) naive in
                  let odd x = x mod 2 = 1 in
-                 before = List.filter (fun d' -> d' <> d && Log.lt l d' d) naive
-                 && List.rev (Log.fold_before l d (fun acc x -> x :: acc) [])
-                    = before
-                 && Log.forall_before l d odd = List.for_all odd before
+                 Log.forall_before l d odd = List.for_all odd before
                  && Log.first_before l d odd = List.find_opt odd before)
                naive)
         ops)

@@ -40,11 +40,6 @@ let naive_invoke_seq events ~m =
     (function Trace.Invoke i when i.m = m -> Some i.seq | _ -> None)
     events
 
-let naive_send_seq events ~m =
-  List.find_map
-    (function Trace.Send s when s.m = m -> Some s.seq | _ -> None)
-    events
-
 let naive_invoked events =
   List.filter_map (function Trace.Invoke i -> Some i.m | _ -> None) events
 
@@ -78,8 +73,7 @@ let agrees ~n events =
     && List.for_all
          (fun m ->
            Trace.first_delivery_seq tr ~m = naive_first_delivery_seq events ~m
-           && Trace.invoke_seq tr ~m = naive_invoke_seq events ~m
-           && Trace.send_seq tr ~m = naive_send_seq events ~m)
+           && Trace.invoke_seq tr ~m = naive_invoke_seq events ~m)
          ms
     && cells (fun ~p ~m ->
            Trace.delivered_at tr ~p ~m = naive_delivered_at events ~p ~m
