@@ -257,8 +257,8 @@ let log_claims outcome =
     (List.map (fun (_, s) -> normalise s) outcome.Runner.snapshots
     @ [ normalise outcome.Runner.final_logs ])
 
-let claim9 outcome =
-  let cx = Outcome_index.make outcome in
+let claim9 cx =
+  let outcome = Outcome_index.outcome cx in
   let tr = outcome.Runner.trace in
   let ids = Outcome_index.ids cx in
   let bd = Outcome_index.bound cx in
@@ -301,8 +301,8 @@ let claim9 outcome =
         (Ok ()) ids)
     (Ok ()) ids
 
-let claim10 outcome =
-  let cx = Outcome_index.make outcome in
+let claim10 cx =
+  let outcome = Outcome_index.outcome cx in
   List.fold_left
     (fun acc ((g, h), entries) ->
       let* () = acc in
@@ -318,8 +318,8 @@ let claim10 outcome =
         (Ok ()) entries)
     (Ok ()) outcome.Runner.final_logs
 
-let claim11 outcome =
-  let cx = Outcome_index.make outcome in
+let claim11 cx =
+  let outcome = Outcome_index.outcome cx in
   List.fold_left
     (fun acc ((g, h), entries) ->
       let* () = acc in
@@ -344,8 +344,8 @@ let claim11 outcome =
         (Ok ()) msgs)
     (Ok ()) outcome.Runner.final_logs
 
-let claim12 outcome =
-  let cx = Outcome_index.make outcome in
+let claim12 cx =
+  let outcome = Outcome_index.outcome cx in
   List.fold_left
     (fun acc (p, m, _, _) ->
       let* () = acc in
@@ -354,8 +354,8 @@ let claim12 outcome =
     (Ok ())
     (Trace.deliveries outcome.Runner.trace)
 
-let claim13 outcome =
-  let cx = Outcome_index.make outcome in
+let claim13 cx =
+  let outcome = Outcome_index.outcome cx in
   (* Per destination group, the set of message ids in LOG_g; built on
      first use so each log is scanned once instead of per delivery. *)
   let memo = Hashtbl.create 8 in
@@ -435,16 +435,18 @@ let claim15 outcome =
   in
   first 0
 
+(* Claims 9–13 share one message index. *)
 let all outcome =
+  let cx = Outcome_index.make outcome in
   List.mapi
     (fun i v -> (Printf.sprintf "claim %d" (i + 2), v))
     (log_claims outcome)
   @ [
-      ("claim 9", claim9 outcome);
-      ("claim 10", claim10 outcome);
-      ("claim 11", claim11 outcome);
-      ("claim 12", claim12 outcome);
-      ("claim 13", claim13 outcome);
+      ("claim 9", claim9 cx);
+      ("claim 10", claim10 cx);
+      ("claim 11", claim11 cx);
+      ("claim 12", claim12 cx);
+      ("claim 13", claim13 cx);
       ("claim 14", claim14 outcome);
       ("claim 15", claim15 outcome);
     ]

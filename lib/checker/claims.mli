@@ -13,25 +13,6 @@
 
 type verdict = (unit, string) result
 
-val claim9 : Runner.outcome -> verdict
-(** Messages with intersecting destinations that are both delivered
-    are [↦]-related. *)
-
-val claim10 : Runner.outcome -> verdict
-(** A message in [LOG_{g∩h}] is addressed to [g] or to [h]. *)
-
-val claim11 : Runner.outcome -> verdict
-(** Two messages ordered by a log both address the log's groups. *)
-
-val claim12 : Runner.outcome -> verdict
-(** Deliveries only happen at destination members. *)
-
-val claim13 : Runner.outcome -> verdict
-(** A delivered message is in the log of its destination group. *)
-
-val claim14 : Runner.outcome -> verdict
-(** A delivered message went through pending, commit and stable. *)
-
 val claim15 : Runner.outcome -> verdict
 (** Phases only increase. *)
 
@@ -63,4 +44,19 @@ val all : Runner.outcome -> (string * verdict) list
     [<_L] instead of scanning entry pairs. The skip, the join and the
     ranks are exact when each datum appears at most once per log, which
     is the only shape [Log] produces; the lists need not be in log
-    order. *)
+    order.
+
+    Claims 9–15 read the trace and the final state, and claims 9–13
+    share one message index ({!Outcome_index}):
+
+    - claim 9: messages with intersecting destinations that are both
+      delivered are [↦]-related;
+    - claim 10: a message in [LOG_{g∩h}] is addressed to [g] or to [h];
+    - claim 11: two messages ordered by a log both address the log's
+      groups;
+    - claim 12: deliveries only happen at destination members;
+    - claim 13: a delivered message is in the log of its destination
+      group;
+    - claim 14: a delivered message went through pending, commit and
+      stable;
+    - claim 15: phases only increase ({!claim15}). *)

@@ -162,12 +162,6 @@ let decided t cfg =
     (fun acc st -> match acc with Some _ -> acc | None -> st.decided)
     None cfg.ps
 
-(* Configurations are finite records of ints, int options and message
-   lists built by the same deterministic simulation on every run: the
-   polymorphic order is total and representation-stable here, and a
-   hand-written structural comparator would merely restate the type. *)
-let compare_config = (Stdlib.compare [@lint.allow "poly-compare"])
-
 let step_message t cfg (s : step) =
   ignore t;
   match s.msg with

@@ -56,7 +56,6 @@ val decided : t -> config -> outcome option
 val compare_outcome : outcome -> outcome -> int
 (** Structural order over outcomes: [G < H]. *)
 
-val compare_config : config -> config -> int
 val pp_outcome : Format.formatter -> outcome -> unit
 
 val step_message : t -> config -> step -> (int * int) option

@@ -547,7 +547,6 @@ let log_snapshot st (g, h) =
 
 let consensus_instances st = Consensus_table.instances st.cons
 
-let listed st ~m = List.mem m st.lists.(st.msgs.(m).Amsg.dst)
 let list_snapshot st g = st.lists.(g)
 
 let consensus_decisions st =

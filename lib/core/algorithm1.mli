@@ -139,12 +139,10 @@ val consensus_rounds : t -> int
 (** Number of commit rounds run so far — the consensus invocations a
     networked backend would make, one per proposal in every mode. *)
 
-val listed : t -> m:int -> bool
-(** Whether the Prop. 1 [multicast] of message [m] has been invoked:
-    whether [m] is in the shared list [L_g] of its destination. *)
-
 val list_snapshot : t -> Topology.gid -> int list
-(** Contents of the shared list [L_g], newest first. *)
+(** Contents of the shared list [L_g], newest first. A message is in
+    its destination's list exactly when its Prop. 1 [multicast] has
+    been invoked. *)
 
 val consensus_decisions : t -> ((int * Topology.gid list) * int) list
 (** Every decided [CONS_{m,f}] instance with its decided position, in a

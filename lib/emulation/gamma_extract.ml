@@ -20,15 +20,6 @@ type t = {
   hb : int array;
 }
 
-let edge_key (g, h) = if g <= h then (g, h) else (h, g)
-
-let compare_edge (g, h) (g', h') =
-  let c = Int.compare g g' in
-  if c <> 0 then c else Int.compare h h'
-
-let edge_set pi =
-  List.sort_uniq compare_edge (List.map edge_key (Topology.cpath_edges pi))
-
 (* Orientation sign: rotate to the smallest group and compare the two
    neighbours; reversing the path flips the sign. *)
 let direction pi =
@@ -72,7 +63,7 @@ let make_probe topo mu fam pi =
     fam;
     pi;
     dir = direction pi;
-    edges = edge_set pi;
+    edges = Topology.cpath_edge_set pi;
     participants;
     algo = Algorithm1.create ~topo ~mu ~workload ();
     levels;
@@ -174,8 +165,8 @@ let query t p =
     (fun fam ->
       let classes =
         List.sort_uniq
-          (List.compare compare_edge)
-          (List.map edge_set (Topology.cpaths t.topo fam))
+          (List.compare Topology.compare_edge)
+          (List.map Topology.cpath_edge_set (Topology.cpaths t.topo fam))
       in
       List.exists
         (fun cls ->

@@ -6,10 +6,6 @@
 
 type move = Step of int | Idle
 
-let pp_move fmt = function
-  | Step p -> Format.pp_print_int fmt p
-  | Idle -> Format.pp_print_string fmt "-"
-
 let moves_to_string moves =
   String.concat " "
     (List.map (function Step p -> string_of_int p | Idle -> "-") moves)

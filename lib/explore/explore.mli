@@ -52,8 +52,6 @@ type move =
   | Step of int  (** schedule exactly this process for one tick *)
   | Idle  (** schedule nobody; only offered while [t < t_steady] *)
 
-val pp_move : Format.formatter -> move -> unit
-
 val moves_to_string : move list -> string
 (** Space-separated, [Idle] rendered ["-"] — the same token syntax as
     the [schedule pinned] scenario line. *)

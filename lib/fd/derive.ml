@@ -1,22 +1,13 @@
-let edge_key (g, h) = if g <= h then (g, h) else (h, g)
-
-let compare_edge (g, h) (g', h') =
-  let c = Int.compare g g' in
-  if c <> 0 then c else Int.compare h h'
-
 let equivalence_classes paths =
-  let key pi =
-    List.sort_uniq compare_edge (List.map edge_key (Topology.cpath_edges pi))
-  in
   let tbl = Hashtbl.create 8 in
   List.iter
     (fun pi ->
-      let k = key pi in
+      let k = Topology.cpath_edge_set pi in
       Hashtbl.replace tbl k (pi :: (try Hashtbl.find tbl k with Not_found -> [])))
     paths;
   (* Emit classes in sorted key order, not Hashtbl order. *)
   Hashtbl.fold (fun k cls acc -> (k, cls) :: acc) tbl []
-  |> List.sort (fun (k, _) (k', _) -> List.compare compare_edge k k')
+  |> List.sort (fun (k, _) (k', _) -> List.compare Topology.compare_edge k k')
   |> List.map snd
 
 let gamma_of_indicators topo ~families indicator p t =

@@ -81,6 +81,3 @@ let groups d p t g =
     d.memo_gs.(p).(g) <- gs;
     gs
   end
-
-let families_of d p =
-  List.map (fun i -> let _, fam, _ = List.nth d.entries i in fam) d.per_process.(p)

@@ -33,6 +33,3 @@ val groups : t -> int -> Failure_pattern.time -> Topology.gid -> Topology.gid li
 (** [groups d p t g] is the paper's [γ(g)] as evaluated at process [p]
     and time [t]: the groups [h] intersecting [g] such that [g] and [h]
     belong to a common family currently output. *)
-
-val families_of : t -> int -> Topology.family list
-(** The static [F(p)]. *)

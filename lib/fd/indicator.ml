@@ -11,9 +11,6 @@ let make ?(max_delay = 5) ~seed ~scope ~target fp =
   let fault_time = Failure_pattern.set_faulty_at fp target 0 in
   { scope; target; fault_time; seed; max_delay }
 
-let scope d = d.scope
-let target d = d.target
-
 let query d p t =
   if not (Pset.mem p d.scope) then None
   else

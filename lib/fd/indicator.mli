@@ -20,5 +20,3 @@ val make :
     the whole [target] set. *)
 
 val query : t -> int -> Failure_pattern.time -> bool option
-val scope : t -> Pset.t
-val target : t -> Pset.t

@@ -21,9 +21,6 @@ let make ?restrict ?(stabilization = 0) ~seed fp =
   in
   { scope; stabilization; seed; leader; members = Array.of_list (Pset.to_list scope) }
 
-let scope d = d.scope
-let leader d = d.leader
-
 let query d p t =
   if not (Pset.mem p d.scope) then None
   else if t >= d.stabilization then Some d.leader

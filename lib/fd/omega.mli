@@ -21,8 +21,3 @@ val make :
 
 val query : t -> int -> Failure_pattern.time -> int option
 (** The elected process at [p] and [t]; [None] outside the scope. *)
-
-val scope : t -> Pset.t
-
-val leader : t -> int
-(** The eventual leader. *)

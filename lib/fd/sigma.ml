@@ -38,8 +38,6 @@ let make ?restrict fp =
   in
   { fp; scope; last_survivors }
 
-let scope d = d.scope
-
 let query d p t =
   if not (Pset.mem p d.scope) then None
   else

@@ -15,6 +15,3 @@ val make : ?restrict:Pset.t -> Failure_pattern.t -> t
 val query : t -> int -> Failure_pattern.time -> Pset.t option
 (** [query d p t] is the quorum output at process [p] and time [t], or
     [None] for [⊥] (process outside the restriction). *)
-
-val scope : t -> Pset.t
-(** The restriction set [P] (the whole universe when unrestricted). *)

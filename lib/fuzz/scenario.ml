@@ -260,8 +260,6 @@ let of_string text =
               Result.map (fun () -> s) (validate s)))
   | first :: _ -> err "bad header %S (expected %S)" first header
 
-let pp fmt s = Format.pp_print_string fmt (to_string s)
-
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)

@@ -83,8 +83,6 @@ val of_string : string -> (t, string) result
 (** Parses the {!to_string} format. Blank lines and [#] comments are
     skipped. *)
 
-val pp : Format.formatter -> t -> unit
-
 (** {1 Execution} *)
 
 val mu : t -> Mu.t

@@ -74,7 +74,6 @@ type stats = {
 }
 
 val stats_zero : stats
-val stats_add : stats -> stats -> stats
 
 (** {1 Deterministic draws} *)
 

@@ -133,5 +133,4 @@ let pending t p =
   t.heaps.(p).size
 
 let total_sent t = t.sent
-let faults t = t.spec
 let stats t = t.stats

@@ -45,7 +45,6 @@ val total_sent : 'm t -> int
 (** Number of [send] calls (logical transmissions), independent of how
     many wire copies were dropped or duplicated. *)
 
-val faults : 'm t -> Channel_fault.spec
 val stats : 'm t -> Channel_fault.stats
 (** Cumulative link statistics (copies dropped, duplicated, stubborn
     retransmissions, transmissions lost for good). *)

@@ -132,5 +132,3 @@ let step t ~pid:p ~time =
   in
   let advanced = transitions t p time in
   received || advanced
-
-let messages_sent t = Net.total_sent t.net

@@ -32,5 +32,3 @@ val poll : t -> pid:int -> opid -> int option
 
 val step : t -> pid:int -> time:int -> bool
 (** Process one pending protocol message at [pid]. *)
-
-val messages_sent : t -> int

@@ -98,15 +98,15 @@ let cpath_edges (pi : cpath) =
   let k = Array.length pi in
   List.init k (fun i -> (pi.(i), pi.((i + 1) mod k)))
 
-let edge_key (g, h) = if g <= h then (g, h) else (h, g)
-
 let compare_edge (g, h) (g', h') =
   let c = Int.compare g g' in
   if c <> 0 then c else Int.compare h h'
 
-let cpath_equiv a b =
-  let norm pi = List.sort_uniq compare_edge (List.map edge_key (cpath_edges pi)) in
-  norm a = norm b
+let cpath_edge_set pi =
+  List.sort_uniq compare_edge
+    (List.map (fun (g, h) -> if g <= h then (g, h) else (h, g)) (cpath_edges pi))
+
+let cpath_equiv a b = cpath_edge_set a = cpath_edge_set b
 
 let index_of (pi : cpath) g =
   let rec loop i =
@@ -149,8 +149,6 @@ let cpaths t (fam : family) =
       in
       extend [] root rest;
       List.rev !results
-
-let is_cyclic t fam = cpaths t fam <> []
 
 (* A family is cyclic iff its intersection graph has a Hamiltonian
    cycle, i.e. iff it is the vertex set of a simple cycle of the global

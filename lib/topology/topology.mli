@@ -64,8 +64,19 @@ type cpath = gid array
     Edges of the path are [(g1,g2), ..., (g_{K-1},g_K), (g_K,g1)]. *)
 
 val cpath_edges : cpath -> (gid * gid) list
+
+val compare_edge : gid * gid -> gid * gid -> int
+(** Lexicographic order on edges: the order {!cpath_edge_set} sorts
+    by. *)
+
+val cpath_edge_set : cpath -> (gid * gid) list
+(** The undirected edges of a closed path, each written [(g, h)] with
+    [g <= h], sorted by {!compare_edge} and without duplicates: equal
+    for every rotation and reversal of the path. *)
+
 val cpath_equiv : cpath -> cpath -> bool
-(** Two closed paths are equivalent when they visit the same edge set. *)
+(** Two closed paths are equivalent when they visit the same edge set
+    ({!cpath_edge_set}). *)
 
 val cpath_reverse_from : cpath -> gid -> cpath
 (** [cpath_reverse_from pi g] is the path visiting the same cycle as
@@ -80,10 +91,6 @@ val cpaths : t -> family -> cpath list
     Both orientations of each cycle are included; rotations are
     canonicalised (each path starts at the smallest group). Empty iff
     the family is not cyclic. *)
-
-val is_cyclic : t -> family -> bool
-(** Whether the intersection graph of the family is Hamiltonian. Only
-    families of three or more groups can be cyclic. *)
 
 val cyclic_families : t -> family list
 (** [F]: all cyclic families over the topology's groups (computed once

@@ -27,8 +27,6 @@ let range c lo hi =
   if lo > hi then invalid_arg "Choice.range: empty range";
   lo + draw c (hi - lo + 1)
 
-let bool c = draw c 2 = 1
-
 let pick c = function
   | [] -> invalid_arg "Choice.pick: empty list"
   | l -> List.nth l (draw c (List.length l))

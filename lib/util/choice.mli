@@ -26,8 +26,6 @@ val range : t -> int -> int -> int
 (** [range c lo hi] is a choice in [lo, hi] (inclusive). Requires
     [lo <= hi]. *)
 
-val bool : t -> bool
-
 val pick : t -> 'a list -> 'a
 (** Choice among the elements of a non-empty list. *)
 

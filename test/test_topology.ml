@@ -56,7 +56,48 @@ let cpath_ops () =
   let rot = Topology.cpath_rotate_to pi pi.(1) in
   Alcotest.(check int) "rotation starts at target" pi.(1) rot.(0);
   Alcotest.(check bool) "rotation equivalent" true (Topology.cpath_equiv pi rot);
-  Alcotest.(check int) "edges" 3 (List.length (Topology.cpath_edges pi))
+  Alcotest.(check int) "edges" 3 (List.length (Topology.cpath_edges pi));
+  (* Every rotation and reversal of every closed path of these
+     topologies has the path's edge set: each edge once, as (g, h) with
+     g < h, in Topology.compare_edge order. cpath_equiv is edge-set
+     equality over every pair of paths. *)
+  let edges = Alcotest.(list (pair int int)) in
+  List.iter
+    (fun topo ->
+      let paths =
+        List.concat_map (Topology.cpaths topo) (Topology.cyclic_families topo)
+      in
+      List.iter
+        (fun pi ->
+          let set = Topology.cpath_edge_set pi in
+          Alcotest.check edges "sorted, deduplicated, g < h"
+            (List.sort_uniq Topology.compare_edge
+               (List.filter (fun (g, h) -> g < h) set))
+            set;
+          Alcotest.(check int) "one edge per group" (Array.length pi)
+            (List.length set);
+          Array.iter
+            (fun g ->
+              Alcotest.check edges "rotation: same edge set" set
+                (Topology.cpath_edge_set (Topology.cpath_rotate_to pi g));
+              Alcotest.check edges "reversal: same edge set" set
+                (Topology.cpath_edge_set (Topology.cpath_reverse_from pi g)))
+            pi;
+          List.iter
+            (fun pi' ->
+              Alcotest.(check bool) "cpath_equiv = equal edge sets"
+                (set = Topology.cpath_edge_set pi')
+                (Topology.cpath_equiv pi pi'))
+            paths)
+        paths)
+    [
+      Topology.figure1;
+      Topology.ring ~groups:5;
+      (* Four pairwise intersecting groups: three Hamiltonian cycles of
+         the whole family, each in two orientations. *)
+      Topology.create ~n:6
+        (List.map Pset.of_list [ [ 0; 1; 2 ]; [ 0; 3; 4 ]; [ 1; 3; 5 ]; [ 2; 4; 5 ] ]);
+    ]
 
 let canned () =
   let ring = Topology.ring ~groups:4 in
